@@ -20,10 +20,10 @@ from .core import require_rotation
 _HALF_PI = math.pi / 2
 _U64 = (1 << 64) - 1
 
-# Intrinsic X-axis flip: the second factor of every label flip.
+# Intrinsic X-axis flip: the second factor of every label flip, and the
+# left factor of the horizontal mirror (vertical mirror line).
 _FLIP_X = np.diag([-1.0, 1.0, 1.0])
 _NEG_XY = np.diag([-1.0, -1.0, 1.0])
-_MIRROR_VERTICAL = np.diag([-1.0, 1.0, 1.0])
 _MIRROR_HORIZONTAL = np.diag([1.0, -1.0, 1.0])
 _SWAP_XY = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -95,7 +95,7 @@ def corollary_case(r, case: str) -> np.ndarray:
     """
     a = require_rotation(r)
     if case == "horizontal":
-        return _MIRROR_VERTICAL @ a @ _FLIP_X
+        return _FLIP_X @ a @ _FLIP_X
     if case == "vertical":
         return _MIRROR_HORIZONTAL @ a @ _FLIP_X
     if case == "both_axes":

@@ -40,6 +40,8 @@ def _fmt(v: float) -> str:
 
 
 def cmd_augment(args) -> int:
+    if args.multiplier < 1:
+        raise ValidationError(f"--multiplier must be at least 1, got {args.multiplier}")
     records = read_labels(args.input)
     seed = _resolve_seed(args)
     budget = math.radians(args.budget_deg)
@@ -188,11 +190,19 @@ def cmd_draw(args) -> int:
     records = read_labels(args.input)
     center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
     spec = DrawSpec(center=center, size=args.size)
+    names = [_ID_SAFE.sub("_", rec.id) + ".svg" for rec in records]
+    ids_by_name = {}
+    for rec, name in zip(records, names):
+        ids_by_name.setdefault(name, []).append(rec.id)
+    for name, ids in ids_by_name.items():
+        if len(ids) > 1:
+            raise ValidationError(
+                f"ids {', '.join(map(repr, ids))} all map to file {name!r}"
+            )
     os.makedirs(args.output, exist_ok=True)
-    for rec in records:
+    for rec, name in zip(records, names):
         segs = segments(project_axes(rec.rotation), spec)
         svg = render_svg(segs, args.width, args.height, background_href=rec.image_path)
-        name = _ID_SAFE.sub("_", rec.id) + ".svg"
         with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
     print(f"draw: wrote {len(records)} SVG files to {args.output}")

@@ -126,14 +126,102 @@ def require_rotation(m, tol: float = ORTHO_TOL, what: str = "input") -> np.ndarr
 def geodesic_distance(a, b, tol: float = ORTHO_TOL) -> float:
     """Rotation angle separating two rotations: arccos((tr(a @ b^T) - 1) / 2).
 
-    Both inputs must pass the SO(3) check at tol.  The trace argument is
-    clamped to [-1, 1] so floating-point drift near the ends of the range
-    cannot produce NaN.  Result is in [0, pi].
+    Both inputs must pass the SO(3) check at tol.  The angle is evaluated
+    in a stable half-angle form (see _geodesic_rows), so identical inputs
+    give exactly 0 and small angles keep full relative precision.  Result
+    is in [0, pi].
     """
     ra = require_rotation(a, tol, what="first argument")
     rb = require_rotation(b, tol, what="second argument")
-    t = float(np.trace(ra @ rb.T))
-    return math.acos(min(1.0, max(-1.0, 0.5 * (t - 1.0))))
+    return float(_geodesic_rows(ra[None], rb[None])[0])
+
+
+# Batched kernels over (n, 3, 3) stacks for read_labels and
+# mean_geodesic_error.  Their values can differ from the scalar kernels' in
+# the last bits (numpy's vectorised sin/cos and stacked products), so
+# callers that need the scalar verdict exactly must leave a margin.
+
+
+def _sum9(x: np.ndarray) -> np.ndarray:
+    # Fixed summation order, so a row's sum does not depend on its stack.
+    r = x[:, :, 0] + x[:, :, 1] + x[:, :, 2]
+    return r[:, 0] + r[:, 1] + r[:, 2]
+
+
+def _geodesic_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Geodesic between paired rows of two (n, 3, 3) rotation stacks; no SO(3) check.
+
+    theta = 2 atan2(sin(theta/2), cos(theta/2)) with, for rotations,
+    sin^2 = |a - b|_F^2 / 8 and cos^2 = (1 + tr(a b^T)) / 4.  The sine comes
+    from the difference itself, so there is no arccos floor near 0.
+    """
+    d = ra - rb
+    s2 = _sum9(d * d) / 8.0
+    c2 = (1.0 + _sum9(ra * rb)) / 4.0
+    return 2.0 * np.arctan2(np.sqrt(s2), np.sqrt(np.maximum(0.0, c2)))
+
+
+def _det3_batch(a: np.ndarray) -> np.ndarray:
+    # Same cofactor expansion, term for term, as _det3.
+    m = a.reshape(-1, 9).T
+    return (
+        m[0] * (m[4] * m[8] - m[5] * m[7])
+        - m[1] * (m[3] * m[8] - m[5] * m[6])
+        + m[2] * (m[3] * m[7] - m[4] * m[6])
+    )
+
+
+def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean mask over an (n, 3, 3) float stack: is_rotation on each matrix."""
+    resid = np.abs(a @ a.swapaxes(1, 2) - _I3).max(axis=(1, 2), initial=0.0)
+    return (resid <= tol) & (np.abs(_det3_batch(a) - 1.0) <= tol)
+
+
+def _geodesic_batch(a, b, tol: float) -> np.ndarray:
+    """geodesic_distance between paired rows of two (n, 3, 3) stacks; (n,)."""
+    stacks = []
+    for m, what in ((a, "first argument"), (b, "second argument")):
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 3 or m.shape[1:] != (3, 3):
+            raise ValueError(f"{what} is not an (n, 3, 3) stack: shape {m.shape}")
+        ok = _is_rotation_batch(m, tol)
+        if not ok.all():
+            raise ValueError(
+                f"{what} row {int(np.argmin(ok))} is not a rotation matrix within tol={tol:g}"
+            )
+        stacks.append(m)
+    if len(stacks[0]) != len(stacks[1]):
+        raise ValueError(f"stacks differ in length: {len(stacks[0])} vs {len(stacks[1])}")
+    return _geodesic_rows(*stacks)
+
+
+# Row-major slots of cos, cos, +sin, -sin and 1 in each left-handed
+# elemental rotation (see rot_x_left, rot_y_left, rot_z_left).
+_ELEMENTAL_SLOTS = {"x": (4, 8, 5, 7, 0), "y": (0, 8, 6, 2, 4), "z": (0, 4, 1, 3, 8)}
+
+
+def _rot_batch(axis: str, theta: np.ndarray) -> np.ndarray:
+    c1, c2, plus, minus, one = _ELEMENTAL_SLOTS[axis]
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.zeros((len(theta), 9))
+    out[:, c1] = c
+    out[:, c2] = c
+    out[:, plus] = s
+    out[:, minus] = -s
+    out[:, one] = 1.0
+    return out.reshape(-1, 3, 3)
+
+
+def _compose_pyr_batch(angles: np.ndarray) -> np.ndarray:
+    """compose_pyr over an (n, 3) array of finite pitch-yaw-roll rows; (n, 3, 3)."""
+    p, y, r = angles.T
+    return _rot_batch("x", p) @ _rot_batch("y", y) @ _rot_batch("z", r)
+
+
+def _compose_rpy_batch(angles: np.ndarray) -> np.ndarray:
+    """compose_rpy over an (n, 3) array of finite roll-pitch-yaw rows; (n, 3, 3)."""
+    r, p, y = angles.T
+    return _rot_batch("z", r) @ _rot_batch("x", p) @ _rot_batch("y", y)
 
 
 def _quat_to_matrix(w: float, x: float, y: float, z: float) -> np.ndarray:

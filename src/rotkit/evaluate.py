@@ -4,7 +4,9 @@ from dataclasses import dataclass
 from statistics import median
 from typing import List, Sequence, Tuple
 
-from .core import geodesic_distance
+import numpy as np
+
+from .core import _geodesic_batch
 from .labels import FILE_ORTHO_TOL, PoseRecord, ValidationError
 
 
@@ -50,11 +52,12 @@ def mean_geodesic_error(
         raise ValidationError("no records to evaluate")
 
     # records come from label files, which admit the looser file tolerance
-    per_record = [
-        (rec.id, geodesic_distance(rec.rotation, truth[rec.id].rotation, tol=FILE_ORTHO_TOL))
-        for rec in predictions
-    ]
-    distances = [d for _, d in per_record]
+    distances = _geodesic_batch(
+        np.stack([rec.rotation for rec in predictions]),
+        np.stack([truth[rec.id].rotation for rec in predictions]),
+        tol=FILE_ORTHO_TOL,
+    ).tolist()
+    per_record = [(rec.id, d) for rec, d in zip(predictions, distances)]
     return EvalReport(
         mean=sum(distances) / len(distances),
         median=float(median(distances)),

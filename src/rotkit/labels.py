@@ -10,6 +10,10 @@ The matrix is the source of truth; Euler fields are advisory views in
 degrees, checked against the matrix on read.  Floats are serialized with
 shortest round-trip decimals, so write-then-read reproduces rotations
 bit-exactly.
+
+read_labels validates CHUNK_RECORDS lines at a time with batched kernels
+over (n, 3, 3) stacks; record_from_dict is the per-record contract and the
+only source of error messages.
 """
 
 import json
@@ -19,7 +23,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import compose_pyr, compose_rpy, geodesic_distance, is_rotation
+from .core import (
+    _compose_pyr_batch,
+    _compose_rpy_batch,
+    _geodesic_rows,
+    _is_rotation_batch,
+    compose_pyr,
+    compose_rpy,
+    geodesic_distance,
+    is_rotation,
+)
 from .euler import GIMBAL_EPS
 
 # File-level SO(3) and Euler-consistency tolerance.  Looser than the
@@ -29,6 +42,10 @@ EULER_CONSISTENCY_TOL = 1e-6
 # Gimbal-flagged records store the canonical representative, whose yaw is
 # snapped to +/-90 deg; allow the snap distance.
 GIMBAL_CONSISTENCY_TOL = 2.0 * GIMBAL_EPS
+# Non-blank lines decoded and validated together by read_labels.  A chunk
+# holds its decoded JSON objects (about 2 KB each) at once; larger chunks
+# read no faster.
+CHUNK_RECORDS = 1024
 
 
 class ValidationError(ValueError):
@@ -71,6 +88,27 @@ def _check_euler_view(rec_id: str, rotation, matrix, tol: float, what: str) -> N
         )
 
 
+def _view_tol(obj: dict) -> float:
+    return GIMBAL_CONSISTENCY_TOL if obj.get("gimbal", False) else EULER_CONSISTENCY_TOL
+
+
+def _finish_record(obj: dict, rec_id: str, rotation, euler_pyr_deg, euler_rpy_deg) -> PoseRecord:
+    # The non-numeric fields, once rotation and views have passed.
+    provenance = obj.get("provenance") or []
+    if not isinstance(provenance, list):
+        raise ValidationError(f"record {rec_id!r}: provenance must be a list")
+    image_path = obj.get("image_path")
+    return PoseRecord(
+        id=rec_id,
+        rotation=rotation,
+        image_path=None if image_path is None else str(image_path),
+        euler_pyr_deg=euler_pyr_deg,
+        euler_rpy_deg=euler_rpy_deg,
+        gimbal=bool(obj.get("gimbal", False)),
+        provenance=provenance,
+    )
+
+
 def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
     """Validate one decoded JSON object into a PoseRecord."""
     if not isinstance(obj, dict):
@@ -92,8 +130,7 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
             f"record {rec_id!r}: rotation fails the SO(3) check at {FILE_ORTHO_TOL:g}"
         )
 
-    gimbal = bool(obj.get("gimbal", False))
-    tol = GIMBAL_CONSISTENCY_TOL if gimbal else EULER_CONSISTENCY_TOL
+    tol = _view_tol(obj)
 
     euler_pyr_deg = None
     if obj.get("euler_pyr_deg") is not None:
@@ -107,20 +144,7 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
         composed = compose_rpy([math.radians(v) for v in euler_rpy_deg])
         _check_euler_view(rec_id, rotation, composed, tol, "euler_rpy_deg")
 
-    provenance = obj.get("provenance") or []
-    if not isinstance(provenance, list):
-        raise ValidationError(f"record {rec_id!r}: provenance must be a list")
-
-    image_path = obj.get("image_path")
-    return PoseRecord(
-        id=rec_id,
-        rotation=rotation,
-        image_path=None if image_path is None else str(image_path),
-        euler_pyr_deg=euler_pyr_deg,
-        euler_rpy_deg=euler_rpy_deg,
-        gimbal=gimbal,
-        provenance=provenance,
-    )
+    return _finish_record(obj, rec_id, rotation, euler_pyr_deg, euler_rpy_deg)
 
 
 def record_to_dict(rec: PoseRecord) -> dict:
@@ -139,22 +163,129 @@ def record_to_dict(rec: PoseRecord) -> dict:
     return obj
 
 
+def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
+    # rows as an (n, width) float array when every row is `width` finite
+    # JSON numbers, else None.  Strings, nulls and ragged rows are left to
+    # record_from_dict, which owns the error messages.
+    try:
+        a = np.array(rows)
+    except ValueError:  # ragged rows
+        return None
+    if a.dtype.kind not in "biuf" or a.shape != (len(rows), width):
+        return None
+    a = a.astype(float, copy=False)
+    return a if np.isfinite(a).all() else None
+
+
+# The batched kernels can differ from the scalar ones in the last bits, so
+# a chunk is accepted in bulk only when every residual and view distance is
+# at least this fraction of its tolerance inside it; otherwise
+# record_from_dict decides, and the verdicts are the scalar ones exactly.
+_BATCH_MARGIN = 1e-6
+
+
+def _views_agree(rotations, idx, views, compose, tols) -> bool:
+    # Euler views (degrees) against their rows of rotations, as in
+    # _check_euler_view: geodesic from the composed view to the matrix.
+    if not idx:
+        return True
+    dist = _geodesic_rows(compose(np.radians(views)), rotations[idx])
+    return bool((dist <= tols[idx] * (1.0 - _BATCH_MARGIN)).all())
+
+
+def _records_batched(objs: list) -> Optional[List[PoseRecord]]:
+    """The records record_from_dict would build from objs, or None.
+
+    None means some object may break the contract or sits at a tolerance
+    edge; the caller then re-validates one record at a time.
+    """
+    n = len(objs)
+    rot_rows, tols = [], []
+    pyr_idx, pyr_rows, rpy_idx, rpy_rows = [], [], [], []
+    for i, obj in enumerate(objs):
+        if not isinstance(obj, dict) or "id" not in obj or "rotation" not in obj:
+            return None
+        rot_rows.append(obj["rotation"])
+        tols.append(_view_tol(obj))
+        view = obj.get("euler_pyr_deg")
+        if view is not None:
+            pyr_idx.append(i)
+            pyr_rows.append(view)
+        view = obj.get("euler_rpy_deg")
+        if view is not None:
+            rpy_idx.append(i)
+            rpy_rows.append(view)
+
+    flat = _float_rows(rot_rows, 9)
+    pyr = _float_rows(pyr_rows, 3) if pyr_rows else np.empty((0, 3))
+    rpy = _float_rows(rpy_rows, 3) if rpy_rows else np.empty((0, 3))
+    if flat is None or pyr is None or rpy is None:
+        return None
+    rotations = flat.reshape(n, 3, 3)
+    if not _is_rotation_batch(rotations, FILE_ORTHO_TOL * (1.0 - _BATCH_MARGIN)).all():
+        return None
+    tols = np.array(tols)
+    if not (
+        _views_agree(rotations, pyr_idx, pyr, _compose_pyr_batch, tols)
+        and _views_agree(rotations, rpy_idx, rpy, _compose_rpy_batch, tols)
+    ):
+        return None
+
+    pyr_views, rpy_views = [None] * n, [None] * n
+    for i, view in zip(pyr_idx, pyr.tolist()):
+        pyr_views[i] = tuple(view)
+    for i, view in zip(rpy_idx, rpy.tolist()):
+        rpy_views[i] = tuple(view)
+    # a non-list provenance raises here, as it would line by line: every
+    # record's numeric checks have passed
+    return [
+        _finish_record(obj, str(obj["id"]), rotations[i], pyr_views[i], rpy_views[i])
+        for i, obj in enumerate(objs)
+    ]
+
+
+def _records_one_by_one(path, lines, objs) -> List[PoseRecord]:
+    return [
+        record_from_dict(obj, where=f"{path}:{lineno}")
+        for (lineno, _), obj in zip(lines, objs)
+    ]
+
+
+def _read_chunk(path, lines) -> List[PoseRecord]:
+    # lines: (lineno, text) pairs.  Errors surface in file order: a record
+    # that breaks the contract raises before a later line's bad JSON.
+    objs = []
+    for lineno, line in lines:
+        try:
+            objs.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            _records_one_by_one(path, lines, objs)
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+    records = _records_batched(objs)
+    if records is None:
+        records = _records_one_by_one(path, lines, objs)
+    return records
+
+
 def read_labels(path) -> List[PoseRecord]:
     """Read a JSON Lines label file; blank lines are ignored.
 
     Raises ParseError with the line number for malformed lines and
-    ValidationError naming the record id for contract violations.
+    ValidationError naming the record id for contract violations, the
+    same errors, in the same order, as record_from_dict line by line.
+    Each record's rotation is a row view of its chunk's (n, 3, 3) array.
     """
-    records = []
+    records, chunk = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            records.append(record_from_dict(obj, where=f"{path}:{lineno}"))
+            chunk.append((lineno, line))
+            if len(chunk) == CHUNK_RECORDS:
+                records.extend(_read_chunk(path, chunk))
+                chunk = []
+    if chunk:
+        records.extend(_read_chunk(path, chunk))
     return records
 
 

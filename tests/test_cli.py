@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from rotkit import (
     PoseRecord,
@@ -90,6 +91,16 @@ class TestAugmentCommand:
         code = main(["augment", "--mode", "rotate",
                      "--input", str(src), "--output", str(tmp_path / "o.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("multiplier", ["0", "-3"])
+    def test_multiplier_below_one_rejected(self, tmp_path, capsys, multiplier):
+        src = _write(tmp_path, "src.jsonl", _sample_records(4))
+        out = tmp_path / "out.jsonl"
+        code = main(["augment", "--multiplier", multiplier,
+                     "--input", str(src), "--output", str(out)])
+        assert code == 1
+        assert "--multiplier" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConvertCommand:
@@ -211,6 +222,18 @@ class TestDrawCommand:
         out_dir = tmp_path / "svg"
         main(["draw", "--input", str(labels), "--output", str(out_dir)])
         assert (out_dir / "a_b_c.svg").exists()
+
+    @pytest.mark.parametrize("ids, named", [
+        (("a/b", "a_b", "a:b"), "'a/b', 'a_b', 'a:b'"),
+        (("x", "y", "x"), "'x', 'x'"),
+    ])
+    def test_colliding_file_names_rejected(self, tmp_path, capsys, ids, named):
+        records = [PoseRecord(id=i, rotation=np.eye(3)) for i in ids]
+        labels = _write(tmp_path, "src.jsonl", records)
+        out_dir = tmp_path / "svg"
+        assert main(["draw", "--input", str(labels), "--output", str(out_dir)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestDeterminismAndSeeds:

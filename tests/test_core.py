@@ -20,6 +20,13 @@ from rotkit import (
     rot_z_left,
     wrap_angle,
 )
+from rotkit.core import (
+    ORTHO_TOL,
+    _compose_pyr_batch,
+    _compose_rpy_batch,
+    _geodesic_batch,
+    _is_rotation_batch,
+)
 
 
 class TestElementalRotations:
@@ -204,6 +211,79 @@ class TestGeodesicDistance:
         c = a @ rot_z_left(1e-8)
         assert np.abs(a - c).max() < 1e-7
         assert geodesic_distance(a, c) < 1e-7
+
+    @staticmethod
+    def _pairs(seed, angles):
+        # b = a turned by each angle about a random axis
+        rng = np.random.default_rng(seed)
+        for theta in angles:
+            a, q = random_rotation(rng), random_rotation(rng)
+            yield a, q @ rot_z_left(theta) @ q.T @ a
+
+    def test_identical_pairs_are_exactly_zero(self):
+        rng = np.random.default_rng(29)
+        rots = np.stack([random_rotation(rng) for _ in range(50)])
+        assert all(geodesic_distance(r, r.copy()) == 0.0 for r in rots)
+        assert not _geodesic_batch(rots, rots.copy(), ORTHO_TOL).any()
+
+    def test_small_angles_keep_relative_precision(self):
+        # the arccos form returns 0 or 1.5e-8 for every angle near 1e-8;
+        # the remaining gap is the oracle's own round-off
+        angles = np.logspace(-8, -3, 60)
+        for a, b in self._pairs(31, angles):
+            ref = rotation_angle(a, b)
+            assert abs(geodesic_distance(a, b) - ref) <= 1e-7 * ref
+
+    def test_near_pi_pairs(self):
+        angles = math.pi - np.logspace(-6, -1, 60)
+        for a, b in self._pairs(37, angles):
+            assert abs(geodesic_distance(a, b) - rotation_angle(a, b)) < 1e-9
+
+
+class TestBatchedKernels:
+    def test_is_rotation_batch_matches_scalar(self):
+        rng = np.random.default_rng(41)
+        base = np.stack([random_rotation(rng) for _ in range(40)])
+        # residuals straddling the tolerance, a reflection and a NaN
+        scale = 1.0 + np.linspace(0.0, 1e-6, 40)[:, None, None]
+        stack = base * scale
+        stack[3] = np.diag([1.0, 1.0, -1.0])
+        stack[7, 1, 1] = math.nan
+        for tol in (1e-9, 1e-6):
+            mask = _is_rotation_batch(stack, tol)
+            assert mask.tolist() == [is_rotation(m, tol) for m in stack]
+        assert 0 < _is_rotation_batch(stack, 1e-6).sum() < 40
+        assert _is_rotation_batch(np.empty((0, 3, 3)), 1e-9).shape == (0,)
+
+    def test_compose_batch_matches_scalar(self):
+        # numpy's vectorised sin/cos may differ from libm in the last bit,
+        # so only closeness is portable; read_labels keeps a margin for it
+        rng = np.random.default_rng(43)
+        angles = rng.uniform(-math.pi, math.pi, (64, 3))
+        pyr, rpy = _compose_pyr_batch(angles), _compose_rpy_batch(angles)
+        for k, e in enumerate(angles):
+            assert np.abs(pyr[k] - compose_pyr(e)).max() <= 1e-15
+            assert np.abs(rpy[k] - compose_rpy(e)).max() <= 1e-15
+
+    def test_geodesic_batch_equals_scalar_and_is_symmetric(self):
+        rng = np.random.default_rng(47)
+        a = np.stack([random_rotation(rng) for _ in range(64)])
+        b = np.stack([random_rotation(rng) for _ in range(64)])
+        b[:8] = a[:8] @ rot_z_left(1e-7)
+        b[8:16] = a[8:16] @ rot_z_left(math.pi - 1e-5)
+        b[16] = a[16]
+        d = _geodesic_batch(a, b, ORTHO_TOL)
+        assert d.tolist() == [geodesic_distance(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(d, _geodesic_batch(b, a, ORTHO_TOL))
+
+    def test_geodesic_batch_names_bad_row(self):
+        a = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        with pytest.raises(ValueError, match="second argument row 1"):
+            _geodesic_batch(np.stack([np.eye(3)] * 2), a, ORTHO_TOL)
+        with pytest.raises(ValueError, match="first argument is not an"):
+            _geodesic_batch(np.eye(3), np.eye(3), ORTHO_TOL)
+        with pytest.raises(ValueError, match="differ in length"):
+            _geodesic_batch(np.stack([np.eye(3)] * 2), np.eye(3)[None], ORTHO_TOL)
 
 
 class TestWrapAngle:
