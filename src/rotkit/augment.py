@@ -11,11 +11,11 @@ half flips across a near-vertical mirror line in [pi/2 - budget, pi/2]).
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import require_rotation
+from .core import _require_rotations, require_rotation
 
 _HALF_PI = math.pi / 2
 _U64 = (1 << 64) - 1
@@ -114,6 +114,13 @@ def apply_augment(r, op: AugmentOp) -> np.ndarray:
     return flip_image_label(r, op.angle)
 
 
+def _check_budget(budget) -> float:
+    budget = float(budget)
+    if not 0.0 <= budget <= _HALF_PI:
+        raise ValueError("budget must lie in [0, pi/2]")
+    return budget
+
+
 def random_augment(r, budget: float, rng) -> Tuple[np.ndarray, AugmentOp]:
     """Randomized training policy: 50% rotate, 50% near-horizontal flip.
 
@@ -124,9 +131,7 @@ def random_augment(r, budget: float, rng) -> Tuple[np.ndarray, AugmentOp]:
     seeded stream reproduces results bit-exactly.
     """
     a = require_rotation(r)
-    budget = float(budget)
-    if not 0.0 <= budget <= _HALF_PI:
-        raise ValueError("budget must lie in [0, pi/2]")
+    budget = _check_budget(budget)
     if rng.random() < 0.5:
         phi = float(rng.uniform(-budget, budget))
         op = AugmentOp("rotate", phi)
@@ -144,6 +149,93 @@ def pose_stream(seed: int, index: int = 0) -> np.random.Generator:
     """
     key = (int(seed) & _U64) | ((int(index) & _U64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rotate_rows(a: np.ndarray, phis: list) -> np.ndarray:
+    """rotate_image_label on each row of an (n, 3, 3) stack, row i by phis[i].
+
+    No SO(3) check.  The image rotations are built from math.cos/math.sin
+    and applied with one stacked product, so rows match the scalar
+    function byte for byte.
+    """
+    c = np.array(list(map(math.cos, phis)))
+    s = np.array(list(map(math.sin, phis)))
+    m = np.zeros((len(phis), 9))
+    m[:, 0], m[:, 1], m[:, 3], m[:, 4], m[:, 8] = c, -s, s, c, 1.0
+    return m.reshape(-1, 3, 3) @ a
+
+
+def _flip_rows(a: np.ndarray, thetas: list) -> np.ndarray:
+    """flip_image_label on each row of an (n, 3, 3) stack, row i across L_thetas[i].
+
+    No SO(3) check; byte for byte the scalar function (see _rotate_rows).
+    """
+    doubled = [2.0 * t for t in thetas]
+    c = np.array(list(map(math.cos, doubled)))
+    s = np.array(list(map(math.sin, doubled)))
+    m = np.zeros((len(thetas), 9))
+    m[:, 0], m[:, 1], m[:, 3], m[:, 4], m[:, 8] = c, s, s, -c, 1.0
+    return m.reshape(-1, 3, 3) @ a @ _FLIP_X
+
+
+def _random_ops(budget: float, seed: int, start: int, n: int, multiplier: int) -> List[AugmentOp]:
+    # The ops random_augment draws for records start..start+n-1, `multiplier`
+    # per record from pose_stream(seed, index), in record-major order.  One
+    # Philox bit generator is re-keyed per record instead of building a
+    # Generator; each draw is Generator.random's (raw >> 11) * 2**-53,
+    # scaled as Generator.uniform does.
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    raws = np.empty((n, 2 * multiplier), dtype=np.uint64)
+    for i in range(n):
+        state["state"]["key"] = np.array([int(seed) & _U64, (start + i) & _U64], dtype=np.uint64)
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        raws[i] = bitgen.random_raw(2 * multiplier)
+    u = ((raws >> np.uint64(11)).astype(float) * 2.0**-53).reshape(-1, 2).tolist()
+    rotate_lo, flip_lo = -budget, _HALF_PI - budget
+    rotate_span, flip_span = budget - rotate_lo, _HALF_PI - flip_lo
+    return [
+        AugmentOp("rotate", rotate_lo + rotate_span * v)
+        if b < 0.5
+        else AugmentOp("flip", flip_lo + flip_span * v)
+        for b, v in u
+    ]
+
+
+def _augment_rows(
+    a: np.ndarray,
+    op: Optional[AugmentOp],
+    budget: float,
+    seed: int,
+    start: int,
+    multiplier: int,
+) -> Tuple[np.ndarray, List[AugmentOp]]:
+    """Augment each row of an (n, 3, 3) stack `multiplier` times.
+
+    With op given, every output is apply_augment(row, op); otherwise the
+    outputs of row i are random_augment(row, budget, pose_stream(seed,
+    start + i)), drawn in order.  Returns the (n * multiplier, 3, 3) stack
+    and the ops, in record-major order, byte for byte those of the scalar
+    functions, which also raise the same errors first.
+    """
+    if op is None:
+        # random_augment checks its rotation before the budget
+        _require_rotations(a[:1])
+        budget = _check_budget(budget)
+        ops = _random_ops(budget, seed, start, len(a), multiplier)
+    else:
+        ops = [op] * (len(a) * multiplier)
+    rows = np.repeat(_require_rotations(a), multiplier, axis=0)
+    out = np.empty_like(rows)
+    kinds = np.array([o.kind == "rotate" for o in ops], dtype=bool)
+    angles = [o.angle for o in ops]
+    rot = np.flatnonzero(kinds)
+    flip = np.flatnonzero(~kinds)
+    out[rot] = _rotate_rows(rows[rot], [angles[k] for k in rot.tolist()])
+    out[flip] = _flip_rows(rows[flip], [angles[k] for k in flip.tolist()])
+    return out, ops
 
 
 def map_pixel(op: AugmentOp, pt, width: float, height: float) -> PixelPoint:

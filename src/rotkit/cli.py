@@ -11,14 +11,15 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 
-from .augment import AugmentOp, apply_augment, pose_stream, random_augment
-from .coverage import SpiralSpec, euler_range_stats, flatten9, pca_project, spiral_rotations
-from .drawing import DrawSpec, project_axes, render_svg, segments
-from .euler import extract_pyr, extract_rpy
+import numpy as np
+
+from .augment import AugmentOp, _augment_rows
+from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, flatten9, pca_project
+from .drawing import DrawSpec, _segments_rows, render_svg
+from .euler import _euler_rows
 from .evaluate import mean_geodesic_error
-from .labels import PoseRecord, ValidationError, read_labels, write_labels
+from .labels import CHUNK_RECORDS, PoseRecord, ValidationError, read_labels, write_labels
 
 _ID_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -39,13 +40,21 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _chunks(records):
+    # (start, records, (n, 3, 3) rotation stack) per CHUNK_RECORDS records
+    for start in range(0, len(records), CHUNK_RECORDS):
+        chunk = records[start:start + CHUNK_RECORDS]
+        yield start, chunk, np.array([rec.rotation for rec in chunk], dtype=float)
+
+
 def cmd_augment(args) -> int:
     if args.multiplier < 1:
         raise ValidationError(f"--multiplier must be at least 1, got {args.multiplier}")
     records = read_labels(args.input)
     seed = _resolve_seed(args)
     budget = math.radians(args.budget_deg)
-    out, n_rotate, n_flip = [], 0, 0
+    mult = args.multiplier
+    counts = {"rotate": 0, "flip": 0}
 
     if args.mode in ("rotate", "flip"):
         if args.angle_deg is None:
@@ -54,60 +63,62 @@ def cmd_augment(args) -> int:
     else:
         fixed_op = None
 
-    for index, rec in enumerate(records):
-        rng = pose_stream(seed, index)
-        for j in range(args.multiplier):
-            if fixed_op is not None:
-                rotation, op = apply_augment(rec.rotation, fixed_op), fixed_op
-            else:
-                rotation, op = random_augment(rec.rotation, budget, rng)
-            if op.kind == "rotate":
-                n_rotate += 1
-            else:
-                n_flip += 1
-            new_id = rec.id if args.multiplier == 1 else f"{rec.id}#a{j}"
-            out.append(
-                PoseRecord(
-                    id=new_id,
+    def augmented():
+        for start, chunk, stack in _chunks(records):
+            rotations, ops = _augment_rows(stack, fixed_op, budget, seed, start, mult)
+            for k, (rotation, op) in enumerate(zip(rotations, ops)):
+                rec, j = chunk[k // mult], k % mult
+                counts[op.kind] += 1
+                yield PoseRecord(
+                    id=rec.id if mult == 1 else f"{rec.id}#a{j}",
                     rotation=rotation,
                     image_path=rec.image_path,
                     provenance=rec.provenance + [op.as_dict()],
                 )
-            )
-    write_labels(out, args.output)
+
+    write_labels(augmented(), args.output)
     print(
-        f"augment: {len(records)} records -> {len(out)} "
-        f"({n_rotate} rotate, {n_flip} flip)"
+        f"augment: {len(records)} records -> {len(records) * mult} "
+        f"({counts['rotate']} rotate, {counts['flip']} flip)"
     )
     return 0
 
 
 def cmd_convert(args) -> int:
     records = read_labels(args.input)
-    out, n_gimbal = [], 0
-    for rec in records:
-        if args.target == "matrix":
-            new = replace(rec, euler_pyr_deg=None, euler_rpy_deg=None, gimbal=False)
-        elif args.target == "euler_pyr":
-            sol = extract_pyr(rec.rotation)
-            gimbal = sol.kind != "regular"
-            new = replace(
-                rec,
-                euler_pyr_deg=tuple(math.degrees(v) for v in sol.primary),
-                gimbal=gimbal or rec.gimbal,
-            )
-        else:  # euler_rpy
-            sol = extract_rpy(rec.rotation)
-            gimbal = sol.kind != "regular"
-            new = replace(
-                rec,
-                euler_rpy_deg=tuple(math.degrees(v) for v in sol.value),
-                gimbal=gimbal or rec.gimbal,
-            )
-        n_gimbal += int(new.gimbal)
-        out.append(new)
-    write_labels(out, args.output)
-    print(f"convert: {len(out)} records to {args.target} ({n_gimbal} gimbal)")
+    n_gimbal = 0
+
+    def converted():
+        # PoseRecord(...) rather than dataclasses.replace, which costs
+        # several times more per record
+        nonlocal n_gimbal
+        for _, chunk, stack in _chunks(records):
+            if args.target == "matrix":
+                news = [
+                    PoseRecord(rec.id, rec.rotation, rec.image_path, provenance=rec.provenance)
+                    for rec in chunk
+                ]
+            else:
+                pyr = args.target == "euler_pyr"
+                angles, locked = _euler_rows(stack, "pyr" if pyr else "rpy")
+                # np.degrees is math.degrees' x * (180 / pi), value for value
+                news = [
+                    PoseRecord(
+                        id=rec.id,
+                        rotation=rec.rotation,
+                        image_path=rec.image_path,
+                        euler_pyr_deg=tuple(deg) if pyr else rec.euler_pyr_deg,
+                        euler_rpy_deg=rec.euler_rpy_deg if pyr else tuple(deg),
+                        gimbal=lock or rec.gimbal,
+                        provenance=rec.provenance,
+                    )
+                    for rec, deg, lock in zip(chunk, np.degrees(angles).tolist(), locked.tolist())
+                ]
+            n_gimbal += sum(new.gimbal for new in news)
+            yield from news
+
+    write_labels(converted(), args.output)
+    print(f"convert: {len(records)} records to {args.target} ({n_gimbal} gimbal)")
     return 0
 
 
@@ -138,12 +149,17 @@ def cmd_spiral(args) -> int:
         "pitch_min_deg": args.pitch_range[0],
         "pitch_max_deg": args.pitch_range[1],
     }
-    records = [
-        PoseRecord(id=f"spiral_{i:06d}", rotation=r, provenance=[dict(meta, index=i)])
-        for i, r in enumerate(spiral_rotations(spec))
-    ]
-    write_labels(records, args.output)
-    print(f"spiral: wrote {len(records)} zero-roll poses")
+
+    def poses():
+        for start in range(0, spec.count, CHUNK_RECORDS):
+            stack = _spiral_rows(spec, start, min(spec.count, start + CHUNK_RECORDS))
+            for i, r in enumerate(stack, start):
+                yield PoseRecord(
+                    id=f"spiral_{i:06d}", rotation=r, provenance=[dict(meta, index=i)]
+                )
+
+    write_labels(poses(), args.output)
+    print(f"spiral: wrote {spec.count} zero-roll poses")
     return 0
 
 
@@ -200,11 +216,12 @@ def cmd_draw(args) -> int:
                 f"ids {', '.join(map(repr, ids))} all map to file {name!r}"
             )
     os.makedirs(args.output, exist_ok=True)
-    for rec, name in zip(records, names):
-        segs = segments(project_axes(rec.rotation), spec)
-        svg = render_svg(segs, args.width, args.height, background_href=rec.image_path)
-        with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+    for start, chunk, stack in _chunks(records):
+        chunk_names = names[start:start + len(chunk)]
+        for rec, name, segs in zip(chunk, chunk_names, _segments_rows(stack, spec)):
+            svg = render_svg(segs, args.width, args.height, background_href=rec.image_path)
+            with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(svg)
     print(f"draw: wrote {len(records)} SVG files to {args.output}")
     return 0
 

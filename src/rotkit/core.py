@@ -136,10 +136,15 @@ def geodesic_distance(a, b, tol: float = ORTHO_TOL) -> float:
     return float(_geodesic_rows(ra[None], rb[None])[0])
 
 
-# Batched kernels over (n, 3, 3) stacks for read_labels and
-# mean_geodesic_error.  Their values can differ from the scalar kernels' in
-# the last bits (numpy's vectorised sin/cos and stacked products), so
-# callers that need the scalar verdict exactly must leave a margin.
+# Batched kernels over (n, 3, 3) stacks for the label readers, writers and
+# CLI commands.  Products are stacked `@`, one 3x3 product per row, and
+# sines and cosines come from `math`, so rows match the scalar kernels.
+# Residuals and distances may still round differently in the last bits, so
+# callers that need the scalar verdict exactly leave a margin.
+
+# Fraction of a tolerance that a batched residual or distance must keep to
+# spare before the batch verdict stands in for the scalar one.
+_BATCH_MARGIN = 1e-6
 
 
 def _sum9(x: np.ndarray) -> np.ndarray:
@@ -177,6 +182,29 @@ def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:
     return (resid <= tol) & (np.abs(_det3_batch(a) - 1.0) <= tol)
 
 
+def _all_rotations(a: np.ndarray, tol: float = ORTHO_TOL) -> bool:
+    """True when every row of an (n, 3, 3) stack passes is_rotation at tol
+    with _BATCH_MARGIN to spare.  False means some row may fail the scalar
+    check; callers then take the scalar path, which raises its own error.
+    """
+    if a.ndim != 3 or a.shape[1:] != (3, 3):
+        return False
+    return bool(_is_rotation_batch(a, tol * (1.0 - _BATCH_MARGIN)).all())
+
+
+def _require_rotations(a: np.ndarray) -> np.ndarray:
+    """require_rotation on every row of an (n, 3, 3) stack; returns the stack.
+
+    One batched check (_all_rotations) decides for the whole stack.  Only
+    when it fails are the rows checked one by one, so the first row outside
+    SO(3) raises require_rotation's own error.
+    """
+    if not _all_rotations(a):
+        for r in a:
+            require_rotation(r)
+    return a.reshape(-1, 3, 3)
+
+
 def _geodesic_batch(a, b, tol: float) -> np.ndarray:
     """geodesic_distance between paired rows of two (n, 3, 3) stacks; (n,)."""
     stacks = []
@@ -202,7 +230,8 @@ _ELEMENTAL_SLOTS = {"x": (4, 8, 5, 7, 0), "y": (0, 8, 6, 2, 4), "z": (0, 4, 1, 3
 
 def _rot_batch(axis: str, theta: np.ndarray) -> np.ndarray:
     c1, c2, plus, minus, one = _ELEMENTAL_SLOTS[axis]
-    c, s = np.cos(theta), np.sin(theta)
+    angles = theta.tolist()
+    c, s = np.array(list(map(math.cos, angles))), np.array(list(map(math.sin, angles)))
     out = np.zeros((len(theta), 9))
     out[:, c1] = c
     out[:, c2] = c
@@ -213,13 +242,19 @@ def _rot_batch(axis: str, theta: np.ndarray) -> np.ndarray:
 
 
 def _compose_pyr_batch(angles: np.ndarray) -> np.ndarray:
-    """compose_pyr over an (n, 3) array of finite pitch-yaw-roll rows; (n, 3, 3)."""
+    """compose_pyr over an (n, 3) array of finite pitch-yaw-roll rows; (n, 3, 3).
+
+    Row for row the same bytes as compose_pyr, signed zeros included.
+    """
     p, y, r = angles.T
     return _rot_batch("x", p) @ _rot_batch("y", y) @ _rot_batch("z", r)
 
 
 def _compose_rpy_batch(angles: np.ndarray) -> np.ndarray:
-    """compose_rpy over an (n, 3) array of finite roll-pitch-yaw rows; (n, 3, 3)."""
+    """compose_rpy over an (n, 3) array of finite roll-pitch-yaw rows; (n, 3, 3).
+
+    Row for row the same bytes as compose_rpy, signed zeros included.
+    """
     r, p, y = angles.T
     return _rot_batch("z", r) @ _rot_batch("x", p) @ _rot_batch("y", y)
 

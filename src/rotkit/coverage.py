@@ -13,10 +13,11 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .augment import pose_stream, random_augment
-from .core import EulerPYR, _quat_to_matrix, compose_pyr, wrap_angle
+from .augment import _augment_rows
+from .core import _compose_pyr_batch, _quat_to_matrix, wrap_angle
 from .eigen import jacobi_eigh
-from .euler import canonical_pyr
+from .euler import _euler_rows
+from .labels import CHUNK_RECORDS
 
 _HALF_PI = math.pi / 2
 # Keep spiral yaws clear of the Gimbal band so canonical rolls are exactly 0.
@@ -58,13 +59,22 @@ def spiral_rotations(spec: SpiralSpec) -> List[np.ndarray]:
     Every output composes (pitch, yaw, 0), so canonical extraction
     returns a roll of exactly zero.
     """
-    out = []
-    for i in range(spec.count):
+    return list(_spiral_rows(spec, 0, spec.count))
+
+
+def _spiral_rows(spec: SpiralSpec, start: int, stop: int) -> np.ndarray:
+    """Poses start..stop-1 of the spiral as an (n, 3, 3) stack.
+
+    Angles are computed pose by pose in Python floats and composed in one
+    _compose_pyr_batch, whose rows equal compose_pyr's byte for byte.
+    """
+    angles = []
+    for i in range(start, stop):
         t = i / (spec.count - 1) if spec.count > 1 else 0.0
         pitch = spec.pitch_min + t * (spec.pitch_max - spec.pitch_min)
         yaw = _triangle_yaw(t * spec.turns * 2.0 * math.pi)
-        out.append(compose_pyr(EulerPYR(pitch, yaw, 0.0)))
-    return out
+        angles.append((pitch, yaw, 0.0))
+    return _compose_pyr_batch(np.array(angles).reshape(-1, 3))
 
 
 def densify_rolls(
@@ -79,11 +89,10 @@ def densify_rolls(
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     out = []
-    for i, r in enumerate(poses):
-        rng = pose_stream(seed, i)
-        for _ in range(multiplier):
-            m, _ = random_augment(r, budget, rng)
-            out.append(m)
+    for start in range(0, len(poses), CHUNK_RECORDS):
+        stack = np.array(poses[start:start + CHUNK_RECORDS], dtype=float)
+        rotations, _ = _augment_rows(stack, None, budget, seed, start, multiplier)
+        out.extend(rotations)
     return out
 
 
@@ -171,11 +180,10 @@ def euler_range_stats(poses: Sequence) -> EulerRangeStats:
     if len(poses) == 0:
         raise ValueError("pose list is empty")
     pitches, yaws, rolls = [], [], []
-    for r in poses:
-        e = canonical_pyr(r)
-        pitches.append(math.degrees(e.pitch))
-        yaws.append(math.degrees(e.yaw))
-        rolls.append(math.degrees(e.roll))
+    for start in range(0, len(poses), CHUNK_RECORDS):
+        angles, _ = _euler_rows(np.array(poses[start:start + CHUNK_RECORDS], dtype=float), "pyr")
+        for column, values in zip((pitches, yaws, rolls), np.degrees(angles).T.tolist()):
+            column.extend(values)
     return EulerRangeStats(
         count=len(poses),
         pitch_deg=(min(pitches), max(pitches)),

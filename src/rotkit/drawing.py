@@ -10,12 +10,11 @@ the two routes agree and serve as mutual cross-checks.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import require_rotation
+from .core import _require_rotations, require_rotation
 
 _T_W = np.diag([1.0, -1.0, 1.0])
 
@@ -95,8 +94,32 @@ def segments(proj: AxisProjection, spec: DrawSpec) -> list[Segment]:
     return out
 
 
+def _segments_rows(a: np.ndarray, spec: DrawSpec) -> List[List[Segment]]:
+    """segments(project_axes(r), spec) for each row r of an (n, 3, 3) stack.
+
+    One SO(3) check for the stack (_require_rotations) and one stacked
+    conjugation by T; endpoints are center + size * axis, the same two
+    roundings as segments, so they match it byte for byte.
+    """
+    d = _T_W @ _require_rotations(a) @ _T_W
+    cx, cy, size = float(spec.center[0]), float(spec.center[1]), float(spec.size)
+    xs = (cx + size * d[:, 0, :]).tolist()
+    ys = (cy + size * d[:, 1, :]).tolist()
+    return [
+        [((cx, cy), (x[j], y[j])) for j in range(3)] for x, y in zip(xs, ys)
+    ]
+
+
 def _num(v: float) -> str:
     return repr(float(v))
+
+
+def _escape_attr(text: str) -> str:
+    # &, < and > as in XML character data, plus the attribute's quote.
+    return (
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
 
 
 def render_svg(
@@ -118,7 +141,7 @@ def render_svg(
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
     ]
     if background_href is not None:
-        href = escape(background_href, {'"': "&quot;"})
+        href = _escape_attr(background_href)
         parts.append(
             f'  <image href="{href}" x="0" y="0" width="{w}" height="{h}"/>'
         )

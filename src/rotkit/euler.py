@@ -12,11 +12,14 @@ at pitch = +/-pi/2.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .core import (
     EulerPYR,
     EulerRPY,
+    _require_rotations,
     compose_pyr,
     compose_rpy,
     require_rotation,
@@ -131,6 +134,51 @@ def extract_rpy(r, gimbal_eps: float = GIMBAL_EPS) -> RpySolution:
     # pitch = -pi/2: only yaw + roll is determined
     half = 0.5 * math.atan2(-m[3], m[0])
     return RpySolution("gimbal", EulerRPY(half, -_HALF_PI, half))
+
+
+# Per convention: the scalar extractor, the entry whose asin is the middle
+# angle, and the (numerator, denominator) entries of the atan2 of the first
+# and of the last angle.  Both triples are ordered (first, middle, last).
+_ROW_FORMS = {
+    "pyr": (extract_pyr, 2, (5, 8), (1, 0)),
+    "rpy": (extract_rpy, 7, (1, 4), (6, 8)),
+}
+
+
+def _angles(sol) -> tuple:
+    return sol.primary if isinstance(sol, PyrSolutions) else sol.value
+
+
+def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]:
+    """canonical_pyr ("pyr") or extract_rpy(...).value ("rpy") on each row
+    of an (n, 3, 3) stack.
+
+    Returns the (n, 3) angle rows and the mask of rows the scalar extractor
+    reports as Gimbal-locked.  One SO(3) check for the stack
+    (_require_rotations); regular rows repeat the scalar branch's
+    operations, with asin, cos and atan2 from `math` on Python floats
+    (numpy's can differ in the last bit) and only the divisions in numpy;
+    locked rows go to the scalar extractor.  So every row equals the scalar
+    result exactly.
+    """
+    extract, lock, first, second = _ROW_FORMS[convention]
+    a = _require_rotations(a)
+    flat = a.reshape(-1, 9)
+    mid = list(map(math.asin, np.clip(-flat[:, lock], -1.0, 1.0).tolist()))
+    c = np.array(list(map(math.cos, mid)))
+
+    def atan2(i, j):
+        # locked rows may divide by ~0 here; they are replaced below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y, x = (flat[:, i] / c).tolist(), (flat[:, j] / c).tolist()
+        return list(map(wrap_angle, map(math.atan2, y, x)))
+
+    # wrap_angle leaves asin's range, the middle angle, unchanged
+    out = np.column_stack([atan2(*first), mid, atan2(*second)])
+    locked = ~(c > GIMBAL_EPS)
+    for k in np.flatnonzero(locked).tolist():
+        out[k] = _angles(extract(a[k]))
+    return out, locked
 
 
 def pyr_to_rpy(e, gimbal_eps: float = GIMBAL_EPS) -> EulerRPY:

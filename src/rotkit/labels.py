@@ -18,16 +18,21 @@ only source of error messages.
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
+from itertools import islice
+from json import JSONEncoder
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .core import (
+    _BATCH_MARGIN,
+    _all_rotations,
     _compose_pyr_batch,
     _compose_rpy_batch,
     _geodesic_rows,
-    _is_rotation_batch,
     compose_pyr,
     compose_rpy,
     geodesic_distance,
@@ -42,9 +47,10 @@ EULER_CONSISTENCY_TOL = 1e-6
 # Gimbal-flagged records store the canonical representative, whose yaw is
 # snapped to +/-90 deg; allow the snap distance.
 GIMBAL_CONSISTENCY_TOL = 2.0 * GIMBAL_EPS
-# Non-blank lines decoded and validated together by read_labels.  A chunk
-# holds its decoded JSON objects (about 2 KB each) at once; larger chunks
-# read no faster.
+# Records decoded and validated together by read_labels, and transformed
+# and encoded together by write_labels and the CLI.  A read chunk holds its
+# decoded JSON objects (about 2 KB each) at once; larger chunks run no
+# faster.
 CHUNK_RECORDS = 1024
 
 
@@ -148,10 +154,15 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
 
 
 def record_to_dict(rec: PoseRecord) -> dict:
+    return _record_obj(rec, [float(v) for v in np.asarray(rec.rotation).reshape(9)])
+
+
+def _record_obj(rec: PoseRecord, rotation: list) -> dict:
+    # record_to_dict with the rotation already flattened to 9 floats.
     obj = {"id": rec.id}
     if rec.image_path is not None:
         obj["image_path"] = rec.image_path
-    obj["rotation"] = [float(v) for v in np.asarray(rec.rotation).reshape(9)]
+    obj["rotation"] = rotation
     if rec.euler_pyr_deg is not None:
         obj["euler_pyr_deg"] = [float(v) for v in rec.euler_pyr_deg]
     if rec.euler_rpy_deg is not None:
@@ -177,11 +188,9 @@ def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
     return a if np.isfinite(a).all() else None
 
 
-# The batched kernels can differ from the scalar ones in the last bits, so
-# a chunk is accepted in bulk only when every residual and view distance is
-# at least this fraction of its tolerance inside it; otherwise
+# A chunk is accepted in bulk only when every residual and view distance is
+# at least _BATCH_MARGIN of its tolerance inside it; otherwise
 # record_from_dict decides, and the verdicts are the scalar ones exactly.
-_BATCH_MARGIN = 1e-6
 
 
 def _views_agree(rotations, idx, views, compose, tols) -> bool:
@@ -222,7 +231,7 @@ def _records_batched(objs: list) -> Optional[List[PoseRecord]]:
     if flat is None or pyr is None or rpy is None:
         return None
     rotations = flat.reshape(n, 3, 3)
-    if not _is_rotation_batch(rotations, FILE_ORTHO_TOL * (1.0 - _BATCH_MARGIN)).all():
+    if not _all_rotations(rotations, FILE_ORTHO_TOL):
         return None
     tols = np.array(tols)
     if not (
@@ -289,9 +298,62 @@ def read_labels(path) -> List[PoseRecord]:
     return records
 
 
+def _flat_rotations(records: list) -> list:
+    # Each record's rotation as 9 floats, with one tolist() for the chunk.
+    try:
+        return np.array([rec.rotation for rec in records], dtype=float).reshape(
+            len(records), 9
+        ).tolist()
+    except ValueError:  # ragged shapes: record_to_dict's route, record by record
+        return [np.asarray(rec.rotation, dtype=float).reshape(9).tolist() for rec in records]
+
+
+def _write_records(fh, records) -> None:
+    encode = JSONEncoder(ensure_ascii=False).encode
+    it = iter(records)
+    while chunk := list(islice(it, CHUNK_RECORDS)):
+        rows = _flat_rotations(chunk)
+        fh.write("".join(encode(_record_obj(rec, row)) + "\n" for rec, row in zip(chunk, rows)))
+
+
 def write_labels(records, path) -> None:
-    """Write records as JSON Lines (UTF-8, LF), deterministically."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec), ensure_ascii=False))
-            fh.write("\n")
+    """Write records as JSON Lines (UTF-8, LF), deterministically.
+
+    Each line is json.dumps(record_to_dict(rec), ensure_ascii=False).
+    Records are encoded and written CHUNK_RECORDS at a time, so `records`
+    may be a generator that builds them chunk by chunk.  A regular or new
+    file is written under a temporary name in its directory and moved into
+    place at the end: if anything raises, an existing file at `path` is
+    left untouched and the temporary file is removed.  A replaced file
+    keeps its mode but not its owner or hard links, and one that cannot be
+    written still raises PermissionError; a new file gets 0666 less the
+    umask.  Symlinks are followed, so a link keeps pointing at the new
+    file.  A path that exists but is not a regular file (a device such as
+    /dev/stdout, a pipe) is written in place.
+    """
+    path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            _write_records(fh, records)
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    mode = None
+    try:
+        if os.path.exists(target):
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+            open(target, "a").close()  # fail where open(path, "w") would
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        exc.filename = path  # name the file the caller asked for
+        raise
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, mode)
+            _write_records(fh, records)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise

@@ -1,0 +1,425 @@
+"""The batched build path (spiral, augment, convert, draw) against the
+per-record library functions, byte for byte.
+
+Bytes, not values: `np.array_equal` treats -0.0 as 0.0, while the label
+files write "-0.0", so every comparison here goes through `.tobytes()` or
+the written files.
+"""
+
+import itertools
+import json
+import math
+import os
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rotkit import (
+    GIMBAL_EPS,
+    AugmentOp,
+    DrawSpec,
+    PoseRecord,
+    SpiralSpec,
+    apply_augment,
+    canonical_pyr,
+    compose_pyr,
+    compose_rpy,
+    densify_rolls,
+    euler_range_stats,
+    extract_pyr,
+    extract_rpy,
+    flip_image_label,
+    pose_stream,
+    project_axes,
+    random_augment,
+    random_rotation,
+    read_labels,
+    render_svg,
+    rotate_image_label,
+    segments,
+)
+from rotkit.augment import _augment_rows, _flip_rows, _rotate_rows
+from rotkit.cli import main
+from rotkit.core import _compose_pyr_batch, _compose_rpy_batch
+from rotkit.coverage import _spiral_rows, _triangle_yaw
+from rotkit.drawing import _segments_rows
+from rotkit.euler import _euler_rows
+from rotkit.labels import CHUNK_RECORDS, record_to_dict
+
+BAND = 10 * GIMBAL_EPS
+NOT_SO3 = "rotkit: error: input is not a rotation matrix within tol=1e-09\n"
+
+
+def _signed_permutations():
+    # The 24 axis-aligned rotations: exact zeros and ones, det +1.
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.zeros((3, 3))
+            for row, (col, sign) in enumerate(zip(perm, signs)):
+                m[row, col] = sign
+            if np.linalg.det(m) > 0:
+                out.append(m)
+    return out
+
+
+AXIS_ALIGNED = _signed_permutations()
+# the same rotations with every zero stored as -0.0
+AXIS_ALIGNED_NEG0 = [np.where(m == 0.0, -0.0, m) for m in AXIS_ALIGNED]
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+offsets = st.floats(-BAND, BAND, allow_nan=False)
+haar = st.integers(0, 2**32).map(lambda seed: random_rotation(pose_stream(seed)))
+pyr_band = st.tuples(angles, st.sampled_from((1.0, -1.0)), offsets, angles).map(
+    lambda t: compose_pyr((t[0], t[1] * math.pi / 2 + t[2], t[3]))
+)
+rpy_band = st.tuples(angles, st.sampled_from((1.0, -1.0)), offsets, angles).map(
+    lambda t: compose_rpy((t[0], t[1] * math.pi / 2 + t[2], t[3]))
+)
+axis_aligned = st.sampled_from(AXIS_ALIGNED + AXIS_ALIGNED_NEG0)
+stacks = st.lists(st.one_of(haar, pyr_band, rpy_band, axis_aligned), min_size=1, max_size=24).map(
+    np.array
+)
+ANGLE_ROWS = st.lists(
+    st.tuples(
+        st.one_of(angles, st.sampled_from((0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi))),
+        st.one_of(angles, offsets.map(lambda d: math.pi / 2 + d)),
+        angles,
+    ),
+    min_size=1,
+    max_size=24,
+)
+kernel_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _same_rows(stack, expected):
+    assert len(stack) == len(expected)
+    for got, want in zip(stack, expected):
+        assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _scalar_random(stack, budget, seed, start, multiplier):
+    out, ops = [], []
+    for i, r in enumerate(stack):
+        rng = pose_stream(seed, start + i)
+        for _ in range(multiplier):
+            m, op = random_augment(r, budget, rng)
+            out.append(m)
+            ops.append(op)
+    return out, ops
+
+
+class TestKernels:
+    @kernel_settings
+    @given(ANGLE_ROWS)
+    def test_compose(self, rows):
+        a = np.array(rows)
+        _same_rows(_compose_pyr_batch(a), [compose_pyr(e) for e in rows])
+        _same_rows(_compose_rpy_batch(a), [compose_rpy(e) for e in rows])
+
+    @kernel_settings
+    @given(stacks, st.lists(angles, min_size=24, max_size=24))
+    def test_rotate_and_flip(self, stack, phis):
+        phis = phis[: len(stack)]
+        _same_rows(_rotate_rows(stack, phis), [rotate_image_label(r, p) for r, p in zip(stack, phis)])
+        _same_rows(_flip_rows(stack, phis), [flip_image_label(r, p) for r, p in zip(stack, phis)])
+
+    @kernel_settings
+    @given(
+        stacks,
+        st.sampled_from((0.0, math.radians(20.0), math.pi / 2)),
+        st.integers(-(2**63), 2**64 - 1),
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+    )
+    def test_random_augment(self, stack, budget, seed, start, multiplier):
+        got, ops = _augment_rows(stack, None, budget, seed, start, multiplier)
+        want, want_ops = _scalar_random(stack, budget, seed, start, multiplier)
+        _same_rows(got, want)
+        assert ops == want_ops
+
+    def test_random_augment_error_order(self):
+        # random_augment checks a record's rotation before the budget, and
+        # the first record is checked first
+        stack = np.array(AXIS_ALIGNED[:4])
+        stack[2] *= 1.0 + 1e-7
+        with pytest.raises(ValueError, match="budget"):
+            _augment_rows(stack, None, 2.0, 0, 0, 1)
+        with pytest.raises(ValueError, match="not a rotation"):
+            _augment_rows(stack, None, 0.5, 0, 0, 1)
+        with pytest.raises(ValueError, match="not a rotation"):
+            _augment_rows(stack[2:], None, 2.0, 0, 0, 1)
+
+    @kernel_settings
+    @given(stacks, st.sampled_from(("rotate", "flip")), angles)
+    def test_fixed_augment(self, stack, kind, angle):
+        op = AugmentOp(kind, angle)
+        got, ops = _augment_rows(stack, op, 0.0, 0, 0, 2)
+        _same_rows(got, [apply_augment(r, op) for r in stack for _ in range(2)])
+        assert ops == [op] * (2 * len(stack))
+
+    @kernel_settings
+    @given(stacks)
+    def test_extraction(self, stack):
+        pyr, pyr_locked = _euler_rows(stack, "pyr")
+        _same_rows(pyr, [canonical_pyr(r) for r in stack])
+        assert pyr_locked.tolist() == [extract_pyr(r).kind != "regular" for r in stack]
+        rpy, rpy_locked = _euler_rows(stack, "rpy")
+        _same_rows(rpy, [extract_rpy(r).value for r in stack])
+        assert rpy_locked.tolist() == [extract_rpy(r).kind != "regular" for r in stack]
+
+    @kernel_settings
+    @given(stacks)
+    def test_degrees_match_math(self, stack):
+        for rows in (_euler_rows(stack, "pyr")[0], _euler_rows(stack, "rpy")[0]):
+            want = [[math.degrees(v) for v in row] for row in rows.tolist()]
+            _same_rows(np.degrees(rows), want)
+
+    @kernel_settings
+    @given(stacks, st.floats(1.0, 500.0), st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+    def test_segments(self, stack, size, cx, cy):
+        spec = DrawSpec(center=(cx, cy), size=size)
+        got = _segments_rows(stack, spec)
+        assert got == [segments(project_axes(r), spec) for r in stack]
+        for segs, r in zip(got, stack):
+            want = segments(project_axes(r), spec)
+            assert np.array(segs).tobytes() == np.array(want).tobytes()
+
+    def test_locked_rows_and_signed_zeros(self):
+        # both Gimbal branches, and products whose zeros carry a sign
+        locked = [compose_pyr((0.3, s * math.pi / 2, -0.2)) for s in (1.0, -1.0)]
+        stack = np.array(locked + AXIS_ALIGNED)
+        angles, mask = _euler_rows(stack, "pyr")
+        assert mask.tolist() == [extract_pyr(r).kind != "regular" for r in stack]
+        assert mask[:2].all() and 0 < mask[2:].sum() < len(AXIS_ALIGNED)
+        _same_rows(angles, [canonical_pyr(r) for r in stack])
+        neg0 = np.array(AXIS_ALIGNED_NEG0)
+        for rows, want in (
+            (_euler_rows(neg0, "pyr")[0], [canonical_pyr(r) for r in neg0]),
+            (_euler_rows(neg0, "rpy")[0], [extract_rpy(r).value for r in neg0]),
+        ):
+            assert np.signbit(rows[rows == 0.0]).any()
+            _same_rows(rows, want)
+
+
+class TestLibraryLoops:
+    def _spiral_reference(self, spec):
+        out = []
+        for i in range(spec.count):
+            t = i / (spec.count - 1) if spec.count > 1 else 0.0
+            pitch = spec.pitch_min + t * (spec.pitch_max - spec.pitch_min)
+            out.append(compose_pyr((pitch, _triangle_yaw(t * spec.turns * 2.0 * math.pi), 0.0)))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 300])
+    def test_spiral_rows(self, count):
+        spec = SpiralSpec(count=count, turns=3.0)
+        want = self._spiral_reference(spec)
+        _same_rows(_spiral_rows(spec, 0, count), want)
+        _same_rows(_spiral_rows(spec, count // 3, count), want[count // 3:])
+
+    def test_densify_rolls(self):
+        rng = pose_stream(4)
+        poses = [random_rotation(rng) for _ in range(CHUNK_RECORDS + 3)]
+        want, _ = _scalar_random(poses, math.radians(30.0), 12, 0, 2)
+        _same_rows(densify_rolls(poses, math.radians(30.0), 12, multiplier=2), want)
+        # other budget types are converted to float first, as random_augment does
+        for budget in (np.float32(0.3), Decimal("0.3")):
+            want, _ = _scalar_random(poses[:40], budget, 12, 0, 2)
+            _same_rows(densify_rolls(poses[:40], budget, 12, multiplier=2), want)
+
+    def test_euler_range_stats(self):
+        poses = [random_rotation(pose_stream(9, i)) for i in range(CHUNK_RECORDS + 3)]
+        poses += [compose_pyr((0.1, math.pi / 2, -0.4)), AXIS_ALIGNED[5]]
+        stats = euler_range_stats(poses)
+        cols = list(zip(*(canonical_pyr(r) for r in poses)))
+        for got, col in zip((stats.pitch_deg, stats.yaw_deg, stats.roll_deg), cols):
+            deg = [math.degrees(v) for v in col]
+            assert repr(got) == repr((min(deg), max(deg)))
+
+
+# --- CLI outputs against the per-record functions and the old writer ---------
+
+
+def _old_write(records) -> bytes:
+    text = "".join(json.dumps(record_to_dict(rec), ensure_ascii=False) + "\n" for rec in records)
+    return text.encode("utf-8")
+
+
+def _input_records(n=CHUNK_RECORDS + 1):
+    # Haar rotations with Gimbal-band and axis-aligned poses mixed in; a few
+    # records flagged gimbal, all with image paths and provenance.
+    out = []
+    for i in range(n):
+        if i % 50 == 7:
+            sign = 1.0 if i % 100 == 7 else -1.0
+            r = compose_pyr((0.2, sign * math.pi / 2 + (i % 7 - 3) * GIMBAL_EPS, -0.7))
+        elif i % 50 == 9:
+            r = AXIS_ALIGNED[i % len(AXIS_ALIGNED)]
+        elif i % 50 == 11:
+            r = compose_rpy((0.4, -math.pi / 2, 1.1))
+        else:
+            r = random_rotation(pose_stream(77, i))
+        out.append(
+            PoseRecord(
+                id=f"r{i:05d}",
+                rotation=r,
+                image_path=f"img/{i}&<x>.png",
+                gimbal=i % 97 == 3,
+                provenance=[{"kind": "source", "index": i}],
+            )
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    path = root / "in.jsonl"
+    records = _input_records()
+    path.write_bytes(_old_write(records))
+    return path, read_labels(path)
+
+
+class TestCliParity:
+    def test_spiral(self, tmp_path):
+        count = CHUNK_RECORDS + 1
+        out = tmp_path / "spiral.jsonl"
+        assert main(["spiral", "--count", str(count), "--turns", "5", "--output", str(out)]) == 0
+        spec = SpiralSpec(count=count, turns=5.0)
+        meta = {"kind": "spiral", "count": count, "turns": 5.0,
+                "pitch_min_deg": -75.0, "pitch_max_deg": 75.0}
+        want = [
+            PoseRecord(id=f"spiral_{i:06d}", rotation=r, provenance=[dict(meta, index=i)])
+            for i, r in enumerate(TestLibraryLoops()._spiral_reference(spec))
+        ]
+        assert out.read_bytes() == _old_write(want)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--multiplier", "1", "--seed", "5"],
+            ["--multiplier", "3", "--seed", "-9", "--budget-deg", "35"],
+            ["--multiplier", "2", "--budget-deg", "0"],
+            ["--mode", "rotate", "--angle-deg", "-31.5"],
+            ["--mode", "flip", "--angle-deg", "101", "--multiplier", "2"],
+        ],
+    )
+    def test_augment(self, corpus, tmp_path, flags):
+        path, records = corpus
+        out = tmp_path / "aug.jsonl"
+        assert main(["augment", "--input", str(path), "--output", str(out), *flags]) == 0
+
+        opts = dict(zip(flags[::2], flags[1::2]))
+        mult = int(opts.get("--multiplier", "1"))
+        seed = int(opts.get("--seed", "0"))
+        budget = math.radians(float(opts.get("--budget-deg", "20")))
+        mode = opts.get("--mode", "random")
+        want = []
+        for index, rec in enumerate(records):
+            rng = pose_stream(seed, index)
+            for j in range(mult):
+                if mode == "random":
+                    rotation, op = random_augment(rec.rotation, budget, rng)
+                else:
+                    op = AugmentOp(mode, math.radians(float(opts["--angle-deg"])))
+                    rotation = apply_augment(rec.rotation, op)
+                want.append(PoseRecord(
+                    id=rec.id if mult == 1 else f"{rec.id}#a{j}",
+                    rotation=rotation,
+                    image_path=rec.image_path,
+                    provenance=rec.provenance + [op.as_dict()],
+                ))
+        assert out.read_bytes() == _old_write(want)
+
+    @pytest.mark.parametrize("target", ["matrix", "euler_pyr", "euler_rpy"])
+    def test_convert(self, corpus, tmp_path, target):
+        path, records = corpus
+        out = tmp_path / "conv.jsonl"
+        assert main(["convert", "--input", str(path), "--output", str(out), "--target", target]) == 0
+        want = []
+        for rec in records:
+            new = PoseRecord(rec.id, rec.rotation, rec.image_path, provenance=rec.provenance)
+            if target == "euler_pyr":
+                sol = extract_pyr(rec.rotation)
+                new.euler_pyr_deg = tuple(math.degrees(v) for v in sol.primary)
+                new.gimbal = sol.kind != "regular" or rec.gimbal
+            elif target == "euler_rpy":
+                sol = extract_rpy(rec.rotation)
+                new.euler_rpy_deg = tuple(math.degrees(v) for v in sol.value)
+                new.gimbal = sol.kind != "regular" or rec.gimbal
+            want.append(new)
+        assert any(rec.gimbal for rec in want) == (target != "matrix")
+        assert out.read_bytes() == _old_write(want)
+
+    def test_convert_keeps_the_other_view(self, corpus, tmp_path):
+        path, records = corpus
+        pyr, both = tmp_path / "pyr.jsonl", tmp_path / "both.jsonl"
+        assert main(["convert", "--input", str(path), "--output", str(pyr), "--target", "euler_pyr"]) == 0
+        assert main(["convert", "--input", str(pyr), "--output", str(both), "--target", "euler_rpy"]) == 0
+        lines = [json.loads(line) for line in both.read_text().splitlines()]
+        assert all("euler_pyr_deg" in obj and "euler_rpy_deg" in obj for obj in lines)
+
+    def test_draw(self, corpus, tmp_path):
+        path, records = corpus
+        out = tmp_path / "svg"
+        assert main(["draw", "--input", str(path), "--output", str(out), "--size", "80"]) == 0
+        spec = DrawSpec(center=(225.0, 225.0), size=80.0)
+        assert len(os.listdir(out)) == len(records)
+        for rec in records:
+            svg = render_svg(segments(project_axes(rec.rotation), spec), 450.0, 450.0,
+                             background_href=rec.image_path)
+            assert (out / f"{rec.id}.svg").read_bytes() == svg.encode("utf-8")
+
+
+class TestCliErrors:
+    """A rotation inside the file tolerance (1e-6) but outside ORTHO_TOL
+    (1e-9) still fails the transforms, with the scalar functions' error."""
+
+    @pytest.fixture
+    def loose_file(self, tmp_path):
+        records = _input_records()
+        bad = records[CHUNK_RECORDS]
+        bad.rotation = np.asarray(bad.rotation) * (1.0 + 1e-7)
+        path = tmp_path / "loose.jsonl"
+        path.write_bytes(_old_write(records))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment"],
+            ["augment", "--multiplier", "3"],
+            ["augment", "--mode", "flip", "--angle-deg", "10"],
+            ["convert", "--target", "euler_pyr"],
+            ["convert", "--target", "euler_rpy"],
+        ],
+    )
+    def test_label_commands(self, loose_file, tmp_path, capsys, argv):
+        out = tmp_path / "out.jsonl"
+        assert main([*argv, "--input", str(loose_file), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == NOT_SO3
+        assert sorted(os.listdir(tmp_path)) == ["loose.jsonl"]
+
+    def test_draw(self, loose_file, tmp_path, capsys):
+        out = tmp_path / "svg"
+        assert main(["draw", "--input", str(loose_file), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == NOT_SO3
+
+    def test_matrix_target_has_no_so3_check(self, loose_file, tmp_path):
+        out = tmp_path / "out.jsonl"
+        assert main(["convert", "--input", str(loose_file), "--output", str(out),
+                     "--target", "matrix"]) == 0
+
+    @pytest.mark.parametrize("budget", ["100", "-1", "nan"])
+    def test_bad_budget(self, corpus, tmp_path, capsys, budget):
+        path, _ = corpus
+        out = tmp_path / "out.jsonl"
+        assert main(["augment", "--input", str(path), "--output", str(out),
+                     "--budget-deg", budget]) == 1
+        assert capsys.readouterr().err == "rotkit: error: budget must lie in [0, pi/2]\n"
+        assert not out.exists()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -279,3 +282,19 @@ class TestExitCodes:
     def test_success(self, tmp_path):
         src = _write(tmp_path, "src.jsonl", _sample_records(2, seed=12))
         assert main(["stats", "--input", str(src)]) == 0
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_out():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email.*,
+    # which every command would otherwise import and, without a warm
+    # bytecode cache, compile.
+    heavy = ("xml.sax", "urllib.request", "http.client", "email")
+    code = (
+        "import sys, rotkit.cli; rotkit.cli.build_parser(); "
+        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

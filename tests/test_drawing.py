@@ -145,6 +145,14 @@ class TestRenderSvg:
         assert "&quot;" in svg
         assert render_svg(self._segments(), 450, 450).count("<image ") == 0
 
+    def test_href_escaped_as_saxutils_did(self):
+        from xml.sax.saxutils import escape
+
+        href = "a&b<c>\"d'e.png"
+        svg = render_svg(self._segments(), 450, 450, background_href=href)
+        assert f'<image href="{escape(href, {chr(34): "&quot;"})}" ' in svg
+        assert '<image href="a&amp;b&lt;c&gt;&quot;d\'e.png" ' in svg
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             render_svg(self._segments(), 0, 450)

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from rotkit import (
     write_labels,
 )
 from rotkit.augment import pose_stream
+from rotkit.labels import CHUNK_RECORDS, record_to_dict
 
 
 def _records(n, seed=0):
@@ -156,3 +160,76 @@ class TestValidation:
         path = tmp_path / "blanks.jsonl"
         path.write_text('\n{"id": "a", "rotation": [1,0,0,0,1,0,0,0,1]}\n\n', encoding="utf-8")
         assert len(read_labels(path)) == 1
+
+
+class TestWrite:
+    def test_matches_per_record_dumps(self, tmp_path):
+        records = _records(CHUNK_RECORDS + 2, seed=3)
+        records[1].rotation = records[1].rotation.reshape(9).tolist()  # ragged chunk
+        records[2].image_path = "ünïcode/é.png"
+        records[3].provenance = [{"kind": "rotate", "angle_deg": -0.0}]
+        records[4].euler_pyr_deg = (1, 2.5, -3)
+        path = tmp_path / "out.jsonl"
+        write_labels(iter(records), path)
+        want = "".join(json.dumps(record_to_dict(r), ensure_ascii=False) + "\n" for r in records)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_labels(_records(3), path)
+        before = path.read_bytes()
+        records = _records(CHUNK_RECORDS + 10, seed=1)
+        records[CHUNK_RECORDS + 5].provenance = [{"kind": object()}]
+        with pytest.raises(TypeError):
+            write_labels(records, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_failed_write_creates_nothing(self, tmp_path):
+        records = _records(2)
+        records[1].provenance = [{1j: 2}]
+        with pytest.raises(TypeError):
+            write_labels(records, tmp_path / "out.jsonl")
+        assert os.listdir(tmp_path) == []
+
+    def test_normal_permissions(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "out.jsonl"
+        write_labels(_records(2), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+        os.chmod(path, 0o600)
+        write_labels(_records(3), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert len(read_labels(path)) == 3
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write read-only files")
+    def test_read_only_file_is_refused(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_labels(_records(2), path)
+        before = path.read_bytes()
+        os.chmod(path, 0o444)
+        with pytest.raises(PermissionError):
+            write_labels(_records(3), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_symlink_is_followed(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        write_labels(_records(2), link)
+        assert link.is_symlink()
+        assert [r.id for r in read_labels(target)] == ["r0000", "r0001"]
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+    def test_device_is_written_in_place(self):
+        write_labels(_records(2), os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_missing_directory_names_destination(self, tmp_path):
+        path = tmp_path / "absent" / "out.jsonl"
+        with pytest.raises(FileNotFoundError) as info:
+            write_labels(_records(1), path)
+        assert info.value.filename == str(path)
