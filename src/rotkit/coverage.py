@@ -15,7 +15,7 @@ import numpy as np
 
 from .augment import _augment_rows
 from .core import _compose_pyr_batch, _quat_to_matrix, wrap_angle
-from .eigen import jacobi_eigh
+from .eigen import symmetric_eigh
 from .euler import _euler_rows
 from .labels import CHUNK_RECORDS
 
@@ -137,7 +137,7 @@ class PcaResult:
 
 
 def pca_project(vectors: Iterable, k: int = 3) -> PcaResult:
-    """PCA of a list of equal-length vectors via the Jacobi eigensolver.
+    """PCA of a list of equal-length vectors via LAPACK eigh (through numpy).
 
     Mean-centers, forms the sample covariance (ddof=1), eigendecomposes
     it, and projects onto the top-k components.
@@ -153,7 +153,7 @@ def pca_project(vectors: Iterable, k: int = 3) -> PcaResult:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    values, vecs = jacobi_eigh(cov)
+    values, vecs = symmetric_eigh(cov)
     values = np.maximum(values, 0.0)
     comps = np.empty((k, d))
     for j in range(k):

@@ -1,36 +1,23 @@
-"""Cyclic Jacobi eigendecomposition for small symmetric matrices.
+"""Symmetric eigendecomposition for small matrices, via LAPACK through numpy.
 
-Deterministic and dependency-free; used for the 9x9 covariance in PCA and
-the 4x4 quaternion matrix of the Horn solver.  For such sizes the sweep
-count stays in single digits.
+Used for the 9x9 covariance in PCA, the 3x3 scatter of the plane test and
+the 4x4 quaternion matrix of the Horn solver.
 """
-
-import math
 
 import numpy as np
 
 
-class JacobiError(ArithmeticError):
-    """Raised when the sweep limit is hit before convergence."""
+def symmetric_eigh(a):
+    """Eigenvalues and eigenvectors of a real symmetric matrix.
 
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
-
-
-def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
-
-    Sweeps rows cyclically, zeroing one off-diagonal pair per rotation,
-    until the off-diagonal Frobenius norm drops below tol.
+    The input is checked to be square, finite and symmetric within
+    1e-8 * max(1, max|a|); LAPACK reads only one triangle, so an asymmetric
+    input would otherwise be solved silently as a different matrix.  The
+    symmetric part 0.5 * (a + a^T) is what gets decomposed.
 
     Returns:
         (values, vectors): values sorted descending, vectors[:, i] is the
         unit eigenvector for values[i].
-
-    Raises:
-        JacobiError: if max_sweeps sweeps do not reach tol.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -39,45 +26,5 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
         raise ValueError("matrix must be finite")
     if np.abs(m - m.T).max() > 1e-8 * max(1.0, float(np.abs(m).max())):
         raise ValueError("matrix must be symmetric")
-    n = m.shape[0]
-    A = 0.5 * (m + m.T)
-    V = np.eye(n)
-
-    sweeps = 0
-    while _off_norm(A) >= tol:
-        if sweeps >= max_sweeps:
-            raise JacobiError(
-                f"no convergence after {max_sweeps} sweeps "
-                f"(off-diagonal norm {_off_norm(A):.3e}, tol {tol:g})"
-            )
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                if abs(theta) > 1e12:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-
-                vec_p, vec_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-
-    values = np.diag(A).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], V[:, order]
+    values, vectors = np.linalg.eigh(0.5 * (m + m.T))
+    return values[::-1], vectors[:, ::-1]

@@ -1,7 +1,6 @@
 """Pose-set evaluation with the geodesic metric."""
 
 from dataclasses import dataclass
-from statistics import median
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -58,9 +57,12 @@ def mean_geodesic_error(
         tol=FILE_ORTHO_TOL,
     ).tolist()
     per_record = [(rec.id, d) for rec, d in zip(predictions, distances)]
+    # statistics.median's arithmetic, without importing statistics (and
+    # with it fractions and decimal) into every command
+    s, mid = sorted(distances), len(distances) // 2
     return EvalReport(
         mean=sum(distances) / len(distances),
-        median=float(median(distances)),
+        median=s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2,
         max=max(distances),
         per_record=per_record,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ORTHO_TOL, _quat_to_matrix, require_rotation
-from .eigen import jacobi_eigh
+from .eigen import symmetric_eigh
 
 E_REF = np.diag([1.0, -1.0, -1.0])
 
@@ -66,7 +66,7 @@ def _spans_plane(centered: np.ndarray) -> bool:
     scale = float(np.abs(scatter).max())
     if scale == 0.0:
         return False
-    values, _ = jacobi_eigh(scatter / scale)
+    values, _ = symmetric_eigh(scatter / scale)
     return values[1] > _RANK_RTOL
 
 
@@ -96,11 +96,9 @@ def horn_rotation(src, dst) -> np.ndarray:
             [m[0, 1] - m[1, 0], m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], m[2, 2] - m[0, 0] - m[1, 1]],
         ]
     )
-    # Normalize so the absolute Jacobi tolerance is scale-independent.
-    scale = float(np.abs(n4).max())
-    if scale == 0.0:
+    if float(np.abs(n4).max()) == 0.0:
         raise DegenerateGeometryError("cross-covariance is zero")
-    _, vectors = jacobi_eigh(n4 / scale)
+    _, vectors = symmetric_eigh(n4)
     w, x, y, z = (float(v) for v in vectors[:, 0])
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return _quat_to_matrix(w / n, x / n, y / n, z / n)

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 
@@ -90,3 +91,12 @@ def test_per_record_report():
     assert [rid for rid, _ in report.per_record] == [r.id for r in preds]
     for _, dist in report.per_record:
         assert abs(dist - 0.05) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_median_matches_statistics_median(n):
+    truth = _records(n, seed=10)
+    preds = _records(n, seed=11)
+    report = mean_geodesic_error(preds, truth)
+    distances = [d for _, d in report.per_record]
+    assert report.median == statistics.median(distances)
