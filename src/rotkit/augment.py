@@ -141,7 +141,7 @@ def random_augment(r, budget: float, rng) -> Tuple[np.ndarray, AugmentOp]:
     return apply_augment(a, op), op
 
 
-def pose_stream(seed: int, index: int = 0) -> np.random.Generator:
+def pose_stream(seed: int, index: int = 0) -> "np.random.Generator":
     """Counter-based random stream for record `index` under a global seed.
 
     Streams for distinct (seed, index) pairs are independent, so per-record

@@ -15,11 +15,21 @@ import sys
 import numpy as np
 
 from .augment import AugmentOp, _augment_rows
-from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, flatten9, pca_project
+from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
 from .drawing import DrawSpec, _segments_rows, render_svg
 from .euler import _euler_rows
-from .evaluate import mean_geodesic_error
-from .labels import CHUNK_RECORDS, PoseRecord, ValidationError, read_labels, write_labels
+from .evaluate import _evaluate_stacks
+from .labels import (
+    CHUNK_RECORDS,
+    PoseRecord,
+    ValidationError,
+    _chunk_records,
+    _image_path,
+    _read_chunks,
+    _read_stack,
+    _write_file,
+    write_labels,
+)
 
 _ID_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -40,17 +50,9 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _chunks(records):
-    # (start, records, (n, 3, 3) rotation stack) per CHUNK_RECORDS records
-    for start in range(0, len(records), CHUNK_RECORDS):
-        chunk = records[start:start + CHUNK_RECORDS]
-        yield start, chunk, np.array([rec.rotation for rec in chunk], dtype=float)
-
-
 def cmd_augment(args) -> int:
     if args.multiplier < 1:
         raise ValidationError(f"--multiplier must be at least 1, got {args.multiplier}")
-    records = read_labels(args.input)
     seed = _resolve_seed(args)
     budget = math.radians(args.budget_deg)
     mult = args.multiplier
@@ -63,11 +65,17 @@ def cmd_augment(args) -> int:
     else:
         fixed_op = None
 
+    n = 0
+
     def augmented():
-        for start, chunk, stack in _chunks(records):
-            rotations, ops = _augment_rows(stack, fixed_op, budget, seed, start, mult)
+        # one input chunk at a time; n is the index of its first record
+        nonlocal n
+        for chunk in _read_chunks(args.input):
+            rotations, ops = _augment_rows(chunk.rotations, fixed_op, budget, seed, n, mult)
+            n += len(chunk.ids)
+            records = _chunk_records(chunk)
             for k, (rotation, op) in enumerate(zip(rotations, ops)):
-                rec, j = chunk[k // mult], k % mult
+                rec, j = records[k // mult], k % mult
                 counts[op.kind] += 1
                 yield PoseRecord(
                     id=rec.id if mult == 1 else f"{rec.id}#a{j}",
@@ -78,29 +86,29 @@ def cmd_augment(args) -> int:
 
     write_labels(augmented(), args.output)
     print(
-        f"augment: {len(records)} records -> {len(records) * mult} "
+        f"augment: {n} records -> {n * mult} "
         f"({counts['rotate']} rotate, {counts['flip']} flip)"
     )
     return 0
 
 
 def cmd_convert(args) -> int:
-    records = read_labels(args.input)
-    n_gimbal = 0
+    n = n_gimbal = 0
 
     def converted():
         # PoseRecord(...) rather than dataclasses.replace, which costs
         # several times more per record
-        nonlocal n_gimbal
-        for _, chunk, stack in _chunks(records):
+        nonlocal n, n_gimbal
+        for chunk in _read_chunks(args.input):
+            records = _chunk_records(chunk)
             if args.target == "matrix":
                 news = [
                     PoseRecord(rec.id, rec.rotation, rec.image_path, provenance=rec.provenance)
-                    for rec in chunk
+                    for rec in records
                 ]
             else:
                 pyr = args.target == "euler_pyr"
-                angles, locked = _euler_rows(stack, "pyr" if pyr else "rpy")
+                angles, locked = _euler_rows(chunk.rotations, "pyr" if pyr else "rpy")
                 # np.degrees is math.degrees' x * (180 / pi), value for value
                 news = [
                     PoseRecord(
@@ -112,24 +120,25 @@ def cmd_convert(args) -> int:
                         gimbal=lock or rec.gimbal,
                         provenance=rec.provenance,
                     )
-                    for rec, deg, lock in zip(chunk, np.degrees(angles).tolist(), locked.tolist())
+                    for rec, deg, lock in zip(records, np.degrees(angles).tolist(), locked.tolist())
                 ]
+            n += len(news)
             n_gimbal += sum(new.gimbal for new in news)
             yield from news
 
     write_labels(converted(), args.output)
-    print(f"convert: {len(records)} records to {args.target} ({n_gimbal} gimbal)")
+    print(f"convert: {n} records to {args.target} ({n_gimbal} gimbal)")
     return 0
 
 
 def cmd_eval(args) -> int:
     pred_path, truth_path = args.input
-    report = mean_geodesic_error(read_labels(pred_path), read_labels(truth_path))
+    report = _evaluate_stacks(*_read_stack(pred_path), *_read_stack(truth_path))
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("id,geodesic_rad\n")
-            for rec_id, dist in report.per_record:
-                fh.write(f"{rec_id},{_fmt(dist)}\n")
+        text = "id,geodesic_rad\n" + "".join(
+            f"{rec_id},{_fmt(dist)}\n" for rec_id, dist in report.per_record
+        )
+        _write_file(args.output, lambda fh: fh.write(text))
     print(
         f"eval: n={len(report.per_record)} mean={report.mean:.12g} "
         f"median={report.median:.12g} max={report.max:.12g} (radians)"
@@ -164,35 +173,36 @@ def cmd_spiral(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    records = read_labels(args.input)
-    if len(records) < 2:
+    ids, rotations = _read_stack(args.input)
+    if len(ids) < 2:
         raise ValidationError("pca needs at least 2 records")
-    vectors = [flatten9(rec.rotation) for rec in records]
-    result = pca_project(vectors, k=3)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,pc1,pc2,pc3\n")
-        for rec, row in zip(records, result.projected):
-            fh.write(f"{rec.id},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}\n")
+    result = pca_project(rotations.reshape(-1, 9), k=3)
+    text = "id,pc1,pc2,pc3\n" + "".join(
+        f"{rec_id},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}\n"
+        for rec_id, row in zip(ids, result.projected)
+    )
+    _write_file(args.output, lambda fh: fh.write(text))
     ev = result.explained_variance
     print(
-        f"pca: {len(records)} records, explained variance "
+        f"pca: {len(ids)} records, explained variance "
         f"{ev[0]:.6g} {ev[1]:.6g} {ev[2]:.6g}"
     )
     return 0
 
 
 def cmd_stats(args) -> int:
-    records = read_labels(args.input)
-    stats = euler_range_stats([rec.rotation for rec in records])
+    _, rotations = _read_stack(args.input)
+    stats = euler_range_stats(rotations)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("angle,min_deg,max_deg\n")
+        text = "angle,min_deg,max_deg\n" + "".join(
+            f"{name},{_fmt(lo)},{_fmt(hi)}\n"
             for name, (lo, hi) in (
                 ("pitch", stats.pitch_deg),
                 ("yaw", stats.yaw_deg),
                 ("roll", stats.roll_deg),
-            ):
-                fh.write(f"{name},{_fmt(lo)},{_fmt(hi)}\n")
+            )
+        )
+        _write_file(args.output, lambda fh: fh.write(text))
     print(
         f"stats: n={stats.count} "
         f"pitch [{stats.pitch_deg[0]:.6g}, {stats.pitch_deg[1]:.6g}] "
@@ -203,26 +213,31 @@ def cmd_stats(args) -> int:
 
 
 def cmd_draw(args) -> int:
-    records = read_labels(args.input)
+    # every chunk is read before any file is written: the file-name check
+    # needs all ids
+    ids, image_paths, stacks = [], [], []
+    for chunk in _read_chunks(args.input):
+        ids += chunk.ids
+        image_paths += map(_image_path, chunk.objs)
+        stacks.append(chunk.rotations)
     center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
     spec = DrawSpec(center=center, size=args.size)
-    names = [_ID_SAFE.sub("_", rec.id) + ".svg" for rec in records]
+    names = [_ID_SAFE.sub("_", rec_id) + ".svg" for rec_id in ids]
     ids_by_name = {}
-    for rec, name in zip(records, names):
-        ids_by_name.setdefault(name, []).append(rec.id)
-    for name, ids in ids_by_name.items():
-        if len(ids) > 1:
+    for rec_id, name in zip(ids, names):
+        ids_by_name.setdefault(name, []).append(rec_id)
+    for name, same in ids_by_name.items():
+        if len(same) > 1:
             raise ValidationError(
-                f"ids {', '.join(map(repr, ids))} all map to file {name!r}"
+                f"ids {', '.join(map(repr, same))} all map to file {name!r}"
             )
     os.makedirs(args.output, exist_ok=True)
-    for start, chunk, stack in _chunks(records):
-        chunk_names = names[start:start + len(chunk)]
-        for rec, name, segs in zip(chunk, chunk_names, _segments_rows(stack, spec)):
-            svg = render_svg(segs, args.width, args.height, background_href=rec.image_path)
-            with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(svg)
-    print(f"draw: wrote {len(records)} SVG files to {args.output}")
+    rows = (segs for stack in stacks for segs in _segments_rows(stack, spec))
+    for name, href, segs in zip(names, image_paths, rows):
+        svg = render_svg(segs, args.width, args.height, background_href=href)
+        with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(svg)
+    print(f"draw: wrote {len(ids)} SVG files to {args.output}")
     return 0
 
 

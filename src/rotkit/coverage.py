@@ -96,7 +96,7 @@ def densify_rolls(
     return out
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
+def random_rotation(rng: "np.random.Generator") -> np.ndarray:
     """Uniform (Haar) random rotation via a normalized Gaussian quaternion."""
     while True:
         q = rng.normal(size=4)
@@ -181,7 +181,7 @@ def euler_range_stats(poses: Sequence) -> EulerRangeStats:
         raise ValueError("pose list is empty")
     pitches, yaws, rolls = [], [], []
     for start in range(0, len(poses), CHUNK_RECORDS):
-        angles, _ = _euler_rows(np.array(poses[start:start + CHUNK_RECORDS], dtype=float), "pyr")
+        angles, _ = _euler_rows(np.asarray(poses[start:start + CHUNK_RECORDS], dtype=float), "pyr")
         for column, values in zip((pitches, yaws, rolls), np.degrees(angles).T.tolist()):
             column.extend(values)
     return EulerRangeStats(

@@ -19,13 +19,52 @@ class EvalReport:
     per_record: List[Tuple[str, float]]
 
 
-def _by_id(records: Sequence[PoseRecord], what: str) -> dict:
-    out = {}
-    for rec in records:
-        if rec.id in out:
-            raise ValidationError(f"{what}: duplicate id {rec.id!r}")
-        out[rec.id] = rec
-    return out
+def _rows_by_id(ids: Sequence[str], what: str) -> dict:
+    rows = {}
+    for row, rec_id in enumerate(ids):
+        if rec_id in rows:
+            raise ValidationError(f"{what}: duplicate id {rec_id!r}")
+        rows[rec_id] = row
+    return rows
+
+
+def _truth_rows(pred_ids: Sequence[str], truth_ids: Sequence[str]) -> List[int]:
+    # the ground-truth row of each prediction; duplicate or unmatched ids
+    # raise mean_geodesic_error's errors
+    pred = _rows_by_id(pred_ids, "predictions")
+    truth = _rows_by_id(truth_ids, "ground truth")
+    missing_truth = sorted(pred.keys() - truth.keys())
+    missing_pred = sorted(truth.keys() - pred.keys())
+    if missing_truth or missing_pred:
+        parts = []
+        if missing_truth:
+            parts.append(f"ids missing from ground truth: {missing_truth}")
+        if missing_pred:
+            parts.append(f"ids missing from predictions: {missing_pred}")
+        raise ValidationError("; ".join(parts))
+    if not pred:
+        raise ValidationError("no records to evaluate")
+    return [truth[rec_id] for rec_id in pred_ids]
+
+
+def _report(ids: Sequence[str], pred, truth) -> EvalReport:
+    # paired (n, 3, 3) stacks; records come from label files, which admit
+    # the looser file tolerance
+    distances = _geodesic_batch(pred, truth, tol=FILE_ORTHO_TOL).tolist()
+    # statistics.median's arithmetic, without importing statistics (and
+    # with it fractions and decimal) into every command
+    s, mid = sorted(distances), len(distances) // 2
+    return EvalReport(
+        mean=sum(distances) / len(distances),
+        median=s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2,
+        max=max(distances),
+        per_record=list(zip(ids, distances)),
+    )
+
+
+def _evaluate_stacks(pred_ids, pred: np.ndarray, truth_ids, truth: np.ndarray) -> EvalReport:
+    """mean_geodesic_error over ids and (n, 3, 3) stacks, as a label file reads."""
+    return _report(pred_ids, pred, truth[_truth_rows(pred_ids, truth_ids)])
 
 
 def mean_geodesic_error(
@@ -36,33 +75,11 @@ def mean_geodesic_error(
     The id sets must match exactly; silent intersection would corrupt
     benchmark numbers, so any mismatch is a hard error listing the ids.
     """
-    pred = _by_id(predictions, "predictions")
-    truth = _by_id(ground_truth, "ground truth")
-    missing_truth = sorted(set(pred) - set(truth))
-    missing_pred = sorted(set(truth) - set(pred))
-    if missing_truth or missing_pred:
-        parts = []
-        if missing_truth:
-            parts.append(f"ids missing from ground truth: {missing_truth}")
-        if missing_pred:
-            parts.append(f"ids missing from predictions: {missing_pred}")
-        raise ValidationError("; ".join(parts))
-    if not pred:
-        raise ValidationError("no records to evaluate")
-
-    # records come from label files, which admit the looser file tolerance
-    distances = _geodesic_batch(
+    truth = list(ground_truth)
+    pred_ids = [rec.id for rec in predictions]
+    rows = _truth_rows(pred_ids, [rec.id for rec in truth])
+    return _report(
+        pred_ids,
         np.stack([rec.rotation for rec in predictions]),
-        np.stack([truth[rec.id].rotation for rec in predictions]),
-        tol=FILE_ORTHO_TOL,
-    ).tolist()
-    per_record = [(rec.id, d) for rec, d in zip(predictions, distances)]
-    # statistics.median's arithmetic, without importing statistics (and
-    # with it fractions and decimal) into every command
-    s, mid = sorted(distances), len(distances) // 2
-    return EvalReport(
-        mean=sum(distances) / len(distances),
-        median=s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2,
-        max=max(distances),
-        per_record=per_record,
+        np.stack([truth[row].rotation for row in rows]),
     )

@@ -11,9 +11,15 @@ degrees, checked against the matrix on read.  Floats are serialized with
 shortest round-trip decimals, so write-then-read reproduces rotations
 bit-exactly.
 
-read_labels validates CHUNK_RECORDS lines at a time with batched kernels
-over (n, 3, 3) stacks; record_from_dict is the per-record contract and the
-only source of error messages.
+Files are read CHUNK_RECORDS lines at a time.  Each chunk is decoded line
+by line and validated with batched kernels, and comes out as its ids plus
+one (n, 3, 3) rotation stack (_read_chunks); record_from_dict is the
+per-record contract, the only source of error messages, and decides any
+chunk that fails or sits near a tolerance.  PoseRecords are built from a
+chunk only when asked for: read_labels builds them all, the CLI only where
+it writes records back out.  So `augment` and `convert` hold one chunk at a
+time, and `eval`, `stats` and `pca` keep only the ids and one (n, 3, 3)
+array per file (_read_stack).
 """
 
 import json
@@ -23,7 +29,7 @@ import stat
 from dataclasses import dataclass, field
 from itertools import islice
 from json import JSONEncoder
-from typing import List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +53,7 @@ EULER_CONSISTENCY_TOL = 1e-6
 # Gimbal-flagged records store the canonical representative, whose yaw is
 # snapped to +/-90 deg; allow the snap distance.
 GIMBAL_CONSISTENCY_TOL = 2.0 * GIMBAL_EPS
-# Records decoded and validated together by read_labels, and transformed
+# Records decoded and validated together by the reader, and transformed
 # and encoded together by write_labels and the CLI.  A read chunk holds its
 # decoded JSON objects (about 2 KB each) at once; larger chunks run no
 # faster.
@@ -98,16 +104,25 @@ def _view_tol(obj: dict) -> float:
     return GIMBAL_CONSISTENCY_TOL if obj.get("gimbal", False) else EULER_CONSISTENCY_TOL
 
 
-def _finish_record(obj: dict, rec_id: str, rotation, euler_pyr_deg, euler_rpy_deg) -> PoseRecord:
-    # The non-numeric fields, once rotation and views have passed.
+def _check_provenance(obj: dict, rec_id: str) -> list:
     provenance = obj.get("provenance") or []
     if not isinstance(provenance, list):
         raise ValidationError(f"record {rec_id!r}: provenance must be a list")
+    return provenance
+
+
+def _image_path(obj: dict) -> Optional[str]:
     image_path = obj.get("image_path")
+    return None if image_path is None else str(image_path)
+
+
+def _finish_record(obj: dict, rec_id: str, rotation, euler_pyr_deg, euler_rpy_deg) -> PoseRecord:
+    # The non-numeric fields, once rotation and views have passed.
+    provenance = _check_provenance(obj, rec_id)
     return PoseRecord(
         id=rec_id,
         rotation=rotation,
-        image_path=None if image_path is None else str(image_path),
+        image_path=_image_path(obj),
         euler_pyr_deg=euler_pyr_deg,
         euler_rpy_deg=euler_rpy_deg,
         gimbal=bool(obj.get("gimbal", False)),
@@ -202,11 +217,25 @@ def _views_agree(rotations, idx, views, compose, tols) -> bool:
     return bool((dist <= tols[idx] * (1.0 - _BATCH_MARGIN)).all())
 
 
-def _records_batched(objs: list) -> Optional[List[PoseRecord]]:
-    """The records record_from_dict would build from objs, or None.
+class _Chunk(NamedTuple):
+    """Up to CHUNK_RECORDS validated records, as columns.
 
-    None means some object may break the contract or sits at a tolerance
-    edge; the caller then re-validates one record at a time.
+    rotations is one (n, 3, 3) stack; pyr and rpy hold each record's
+    Euler view as a tuple, or None.
+    """
+
+    objs: list  # the decoded JSON objects
+    ids: List[str]
+    rotations: np.ndarray
+    pyr: list
+    rpy: list
+
+
+def _chunk_batched(objs: list) -> Optional[_Chunk]:
+    """The chunk record_from_dict would accept from objs, or None.
+
+    None means some object may break the numeric contract or sits at a
+    tolerance edge; the caller then re-validates one record at a time.
     """
     n = len(objs)
     rot_rows, tols = [], []
@@ -240,27 +269,34 @@ def _records_batched(objs: list) -> Optional[List[PoseRecord]]:
     ):
         return None
 
+    ids = [str(obj["id"]) for obj in objs]
+    # a non-list provenance raises here, as it would line by line: every
+    # record's numeric checks have passed
+    for obj, rec_id in zip(objs, ids):
+        _check_provenance(obj, rec_id)
     pyr_views, rpy_views = [None] * n, [None] * n
     for i, view in zip(pyr_idx, pyr.tolist()):
         pyr_views[i] = tuple(view)
     for i, view in zip(rpy_idx, rpy.tolist()):
         rpy_views[i] = tuple(view)
-    # a non-list provenance raises here, as it would line by line: every
-    # record's numeric checks have passed
-    return [
-        _finish_record(obj, str(obj["id"]), rotations[i], pyr_views[i], rpy_views[i])
-        for i, obj in enumerate(objs)
-    ]
+    return _Chunk(objs, ids, rotations, pyr_views, rpy_views)
 
 
-def _records_one_by_one(path, lines, objs) -> List[PoseRecord]:
-    return [
+def _chunk_one_by_one(path, lines, objs) -> _Chunk:
+    records = [
         record_from_dict(obj, where=f"{path}:{lineno}")
         for (lineno, _), obj in zip(lines, objs)
     ]
+    return _Chunk(
+        objs,
+        [rec.id for rec in records],
+        np.array([rec.rotation for rec in records]).reshape(-1, 3, 3),
+        [rec.euler_pyr_deg for rec in records],
+        [rec.euler_rpy_deg for rec in records],
+    )
 
 
-def _read_chunk(path, lines) -> List[PoseRecord]:
+def _read_chunk(path, lines) -> _Chunk:
     # lines: (lineno, text) pairs.  Errors surface in file order: a record
     # that breaks the contract raises before a later line's bad JSON.
     objs = []
@@ -268,12 +304,47 @@ def _read_chunk(path, lines) -> List[PoseRecord]:
         try:
             objs.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            _records_one_by_one(path, lines, objs)
+            _chunk_one_by_one(path, lines, objs)
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-    records = _records_batched(objs)
-    if records is None:
-        records = _records_one_by_one(path, lines, objs)
-    return records
+    chunk = _chunk_batched(objs)
+    return _chunk_one_by_one(path, lines, objs) if chunk is None else chunk
+
+
+def _read_chunks(path) -> Iterator[_Chunk]:
+    """Validated chunks of a label file, one CHUNK_RECORDS chunk at a time.
+
+    Raises the errors of read_labels, in the same order; a chunk's errors
+    surface before it is yielded, so only earlier chunks have been seen.
+    """
+    chunk = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            chunk.append((lineno, line))
+            if len(chunk) == CHUNK_RECORDS:
+                yield _read_chunk(path, chunk)
+                chunk = []
+    if chunk:
+        yield _read_chunk(path, chunk)
+
+
+def _chunk_records(chunk: _Chunk) -> List[PoseRecord]:
+    return [
+        _finish_record(obj, rec_id, rotation, pyr, rpy)
+        for obj, rec_id, rotation, pyr, rpy in zip(
+            chunk.objs, chunk.ids, chunk.rotations, chunk.pyr, chunk.rpy
+        )
+    ]
+
+
+def _read_stack(path) -> Tuple[List[str], np.ndarray]:
+    """A label file's ids and its rotations as one (n, 3, 3) array."""
+    ids, stacks = [], []
+    for chunk in _read_chunks(path):
+        ids += chunk.ids
+        stacks.append(chunk.rotations)
+    return ids, np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
 
 
 def read_labels(path) -> List[PoseRecord]:
@@ -284,18 +355,7 @@ def read_labels(path) -> List[PoseRecord]:
     same errors, in the same order, as record_from_dict line by line.
     Each record's rotation is a row view of its chunk's (n, 3, 3) array.
     """
-    records, chunk = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            chunk.append((lineno, line))
-            if len(chunk) == CHUNK_RECORDS:
-                records.extend(_read_chunk(path, chunk))
-                chunk = []
-    if chunk:
-        records.extend(_read_chunk(path, chunk))
-    return records
+    return [rec for chunk in _read_chunks(path) for rec in _chunk_records(chunk)]
 
 
 def _flat_rotations(records: list) -> list:
@@ -321,20 +381,30 @@ def write_labels(records, path) -> None:
 
     Each line is json.dumps(record_to_dict(rec), ensure_ascii=False).
     Records are encoded and written CHUNK_RECORDS at a time, so `records`
-    may be a generator that builds them chunk by chunk.  A regular or new
-    file is written under a temporary name in its directory and moved into
-    place at the end: if anything raises, an existing file at `path` is
-    left untouched and the temporary file is removed.  A replaced file
-    keeps its mode but not its owner or hard links, and one that cannot be
-    written still raises PermissionError; a new file gets 0666 less the
-    umask.  Symlinks are followed, so a link keeps pointing at the new
-    file.  A path that exists but is not a regular file (a device such as
-    /dev/stdout, a pipe) is written in place.
+    may be a generator that builds them chunk by chunk.  The file is
+    written as _write_file writes it: if anything raises, an existing file
+    at `path` is left untouched.
+    """
+    _write_file(path, lambda fh: _write_records(fh, records))
+
+
+def _write_file(path, write) -> None:
+    """Call write(fh) on a UTF-8, LF text file that then becomes `path`.
+
+    A regular or new file is written under a temporary name in its
+    directory and moved into place at the end: if anything raises, an
+    existing file at `path` is left untouched and the temporary file is
+    removed.  A replaced file keeps its mode but not its owner or hard
+    links, and one that cannot be written still raises PermissionError; a
+    new file gets 0666 less the umask.  Symlinks are followed, so a link
+    keeps pointing at the new file.  A path that exists but is not a
+    regular file (a device such as /dev/stdout, a pipe) is written in
+    place.
     """
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_records(fh, records)
+            write(fh)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -352,7 +422,7 @@ def write_labels(records, path) -> None:
         with fh:
             if mode is not None:
                 os.chmod(tmp, mode)
-            _write_records(fh, records)
+            write(fh)
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)

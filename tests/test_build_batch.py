@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from rotkit import (
     GIMBAL_EPS,
+    ORTHO_TOL,
     AugmentOp,
     DrawSpec,
     PoseRecord,
@@ -32,6 +33,7 @@ from rotkit import (
     extract_pyr,
     extract_rpy,
     flip_image_label,
+    is_rotation,
     pose_stream,
     project_axes,
     random_augment,
@@ -47,7 +49,7 @@ from rotkit.core import _compose_pyr_batch, _compose_rpy_batch
 from rotkit.coverage import _spiral_rows, _triangle_yaw
 from rotkit.drawing import _segments_rows
 from rotkit.euler import _euler_rows
-from rotkit.labels import CHUNK_RECORDS, record_to_dict
+from rotkit.labels import CHUNK_RECORDS, GIMBAL_CONSISTENCY_TOL, record_to_dict
 
 BAND = 10 * GIMBAL_EPS
 NOT_SO3 = "rotkit: error: input is not a rotation matrix within tol=1e-09\n"
@@ -204,6 +206,70 @@ class TestKernels:
         ):
             assert np.signbit(rows[rows == 0.0]).any()
             _same_rows(rows, want)
+
+
+haar_stacks = st.lists(haar, min_size=1, max_size=24).map(np.array)
+pyr_band_stacks = st.lists(pyr_band, min_size=1, max_size=24).map(np.array)
+rpy_band_stacks = st.lists(rpy_band, min_size=1, max_size=24).map(np.array)
+band_or_haar = st.lists(st.one_of(haar, pyr_band, rpy_band), min_size=1, max_size=24).map(np.array)
+angle_lists = st.lists(angles, min_size=24, max_size=24)
+
+
+def _round_trip(stack, convention):
+    """Max entry deviation of compose(extract(row)) from each row, and the lock mask."""
+    compose = _compose_pyr_batch if convention == "pyr" else _compose_rpy_batch
+    angles, locked = _euler_rows(stack, convention)
+    return np.abs(compose(angles) - stack).max(axis=(1, 2)), locked
+
+
+class TestKernelProperties:
+    """Algebraic properties of the batched kernels over Haar samples and
+    yaw (pitch for rpy) within +/-10 GIMBAL_EPS of +/-90 deg.  The
+    tolerances were fixed before these tests first ran, from the largest
+    deviations seen in a separate sampling run, with headroom."""
+
+    @kernel_settings
+    @given(band_or_haar, angle_lists)
+    def test_flip_is_an_involution(self, stack, thetas):
+        thetas = thetas[: len(stack)]
+        assert np.abs(_flip_rows(_flip_rows(stack, thetas), thetas) - stack).max() <= 1e-14
+
+    @kernel_settings
+    @given(band_or_haar, angle_lists, angle_lists)
+    def test_rotation_is_additive(self, stack, phis, psis):
+        phis, psis = phis[: len(stack)], psis[: len(stack)]
+        twice = _rotate_rows(_rotate_rows(stack, phis), psis)
+        once = _rotate_rows(stack, [p + q for p, q in zip(phis, psis)])
+        assert np.abs(twice - once).max() <= 1e-14
+
+    @kernel_settings
+    @given(
+        band_or_haar,
+        st.sampled_from((0.0, math.radians(20.0), math.pi / 2)),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 3),
+        st.one_of(st.none(), st.builds(AugmentOp, st.sampled_from(("rotate", "flip")), angles)),
+    )
+    def test_augment_stays_in_so3(self, stack, budget, seed, multiplier, op):
+        out, _ = _augment_rows(stack, op, budget, seed, 0, multiplier)
+        assert len(out) == multiplier * len(stack)
+        assert all(is_rotation(r, ORTHO_TOL) for r in out)
+
+    @kernel_settings
+    @given(haar_stacks)
+    def test_euler_round_trip_on_haar_samples(self, stack):
+        for convention in ("pyr", "rpy"):
+            dev, locked = _round_trip(stack, convention)
+            assert (dev[~locked] <= 1e-13).all()
+            assert (dev[locked] <= GIMBAL_CONSISTENCY_TOL).all()
+
+    @kernel_settings
+    @given(pyr_band_stacks, rpy_band_stacks)
+    def test_euler_round_trip_in_the_gimbal_band(self, pyr_stack, rpy_stack):
+        for stack, convention in ((pyr_stack, "pyr"), (rpy_stack, "rpy")):
+            dev, locked = _round_trip(stack, convention)
+            assert (dev[~locked] <= 1e-11).all()
+            assert (dev[locked] <= GIMBAL_CONSISTENCY_TOL).all()
 
 
 class TestLibraryLoops:

@@ -286,10 +286,11 @@ class TestExitCodes:
 
 def test_cli_import_leaves_heavy_stdlib_modules_out():
     # xml.sax.saxutils pulls in urllib.request, http.client and email.*,
-    # and statistics pulls in fractions and decimal; every command would
-    # otherwise import and, without a warm bytecode cache, compile them.
+    # statistics pulls in fractions and decimal, and numpy.random pulls in
+    # secrets, hashlib and hmac; every command would otherwise import and,
+    # without a warm bytecode cache, compile them.
     heavy = ("xml.sax", "urllib.request", "http.client", "email", "statistics",
-             "fractions", "decimal")
+             "fractions", "decimal", "numpy.random")
     code = (
         "import sys, rotkit.cli; rotkit.cli.build_parser(); "
         f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"

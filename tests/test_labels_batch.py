@@ -44,6 +44,16 @@ def _scalar_read(path):
     return out
 
 
+def _chunk_read(path):
+    """The chunk reader behind eval, stats and pca: ids and rotation bytes,
+    with no PoseRecord assembled."""
+    return [
+        (rec_id, rotation.tobytes())
+        for chunk in labels._read_chunks(path)
+        for rec_id, rotation in zip(chunk.ids, chunk.rotations)
+    ]
+
+
 def _outcome(read, path):
     try:
         return read(path)
@@ -171,13 +181,15 @@ class TestValidFiles:
 
 
 class TestDefects:
+    read = staticmethod(read_labels)
+
     @pytest.mark.parametrize("defect", sorted(DEFECTS))
     @pytest.mark.parametrize("where", [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4])
     def test_same_error_as_scalar_path(self, tmp_path, small_chunks, defect, where):
         items = _objects(3 * CHUNK + 5, seed=where)
         items[where] = DEFECTS[defect](items[where])
         path = _write(tmp_path / "bad.jsonl", items)
-        got = _outcome(read_labels, path)
+        got = _outcome(self.read, path)
         assert isinstance(got, tuple), f"{defect} at record {where} was accepted"
         assert got == _outcome(_scalar_read, path)
 
@@ -187,7 +199,7 @@ class TestDefects:
         items[where] = DEFECTS["not_so3"](items[where])
         items[where + 1] = "{oops"
         path = _write(tmp_path / "two.jsonl", items)
-        got = _outcome(read_labels, path)
+        got = _outcome(self.read, path)
         assert got == _outcome(_scalar_read, path)
         assert got[1].startswith(f"record {str(items[where]['id'])!r}:")
 
@@ -197,10 +209,18 @@ class TestDefects:
             items = _objects(n, seed=where)
             items[where] = DEFECTS["euler_off"](items[where])
             path = _write(tmp_path / "bad.jsonl", items)
-            assert _outcome(read_labels, path) == _outcome(_scalar_read, path)
+            assert _outcome(self.read, path) == _outcome(_scalar_read, path)
+
+
+class TestDefectsChunkReader(TestDefects):
+    """Every defect case through the chunk reader alone."""
+
+    read = staticmethod(_chunk_read)
 
 
 class TestToleranceEdges:
+    read = staticmethod(read_labels)
+
     @pytest.fixture
     def spy(self, monkeypatch):
         calls = []
@@ -214,7 +234,7 @@ class TestToleranceEdges:
 
     def test_valid_chunks_skip_the_scalar_path(self, tmp_path, small_chunks, spy):
         path = _write(tmp_path / "ok.jsonl", _objects(2 * CHUNK, seed=8))
-        read_labels(path)
+        self.read(path)
         assert spy == []
 
     @pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9])
@@ -232,14 +252,22 @@ class TestToleranceEdges:
             "euler_pyr_deg": _deg(view),
         }
         path = _write(tmp_path / "edge.jsonl", items)
-        got = _outcome(read_labels, path)
+        got = _outcome(self.read, path)
         assert f"{path}:{CHUNK + 4}" in spy
         spy.clear()
         expected = _outcome(_scalar_read, path)
-        if factor < 1.0:
+        if factor < 1.0 and self.read is _chunk_read:
+            assert got == [(rec.id, rec.rotation.tobytes()) for rec in expected]
+        elif factor < 1.0:
             _assert_same_records(got, expected)
         else:
             assert isinstance(got, tuple) and got == expected
+
+
+class TestToleranceEdgesChunkReader(TestToleranceEdges):
+    """The tolerance-edge cases through the chunk reader alone."""
+
+    read = staticmethod(_chunk_read)
 
 
 class TestSlightlyScaledMatrices:
