@@ -24,7 +24,6 @@ from .core import (
     compose_rpy,
     geodesic_distance,
     is_rotation,
-    multiply,
     require_rotation,
     rot_x_left,
     rot_y_left,
@@ -37,7 +36,6 @@ from .coverage import (
     SpiralSpec,
     densify_rolls,
     euler_range_stats,
-    flatten9,
     pca_project,
     random_rotation,
     spiral_rotations,
@@ -112,14 +110,12 @@ __all__ = [
     "euler_range_stats",
     "extract_pyr",
     "extract_rpy",
-    "flatten9",
     "flip_image_label",
     "geodesic_distance",
     "horn_rotation",
     "is_rotation",
     "map_pixel",
     "mean_geodesic_error",
-    "multiply",
     "panoptic_rotation",
     "pca_project",
     "pose_stream",

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .augment import AugmentOp, _augment_rows
+from .core import _CONVENTIONS
 from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
 from .drawing import DrawSpec, _segments_rows, render_svg
 from .euler import _euler_rows
@@ -94,37 +95,30 @@ def cmd_augment(args) -> int:
 
 def cmd_convert(args) -> int:
     n = n_gimbal = 0
+    # target "euler_<name>" fills the records' "euler_<name>_deg" view
+    convention, field_name = args.target.removeprefix("euler_"), f"{args.target}_deg"
 
     def converted():
-        # PoseRecord(...) rather than dataclasses.replace, which costs
-        # several times more per record
+        # _chunk_records builds fresh records, so an Euler target sets its
+        # view in place; "matrix" uses PoseRecord(...) rather than
+        # dataclasses.replace, which costs several times more per record
         nonlocal n, n_gimbal
         for chunk in _read_chunks(args.input):
             records = _chunk_records(chunk)
             if args.target == "matrix":
-                news = [
+                records = [
                     PoseRecord(rec.id, rec.rotation, rec.image_path, provenance=rec.provenance)
                     for rec in records
                 ]
             else:
-                pyr = args.target == "euler_pyr"
-                angles, locked = _euler_rows(chunk.rotations, "pyr" if pyr else "rpy")
+                angles, locked = _euler_rows(chunk.rotations, convention)
                 # np.degrees is math.degrees' x * (180 / pi), value for value
-                news = [
-                    PoseRecord(
-                        id=rec.id,
-                        rotation=rec.rotation,
-                        image_path=rec.image_path,
-                        euler_pyr_deg=tuple(deg) if pyr else rec.euler_pyr_deg,
-                        euler_rpy_deg=rec.euler_rpy_deg if pyr else tuple(deg),
-                        gimbal=lock or rec.gimbal,
-                        provenance=rec.provenance,
-                    )
-                    for rec, deg, lock in zip(records, np.degrees(angles).tolist(), locked.tolist())
-                ]
-            n += len(news)
-            n_gimbal += sum(new.gimbal for new in news)
-            yield from news
+                for rec, deg, lock in zip(records, np.degrees(angles).tolist(), locked.tolist()):
+                    setattr(rec, field_name, tuple(deg))
+                    rec.gimbal = lock or rec.gimbal
+            n += len(records)
+            n_gimbal += sum(rec.gimbal for rec in records)
+            yield from records
 
     write_labels(converted(), args.output)
     print(f"convert: {n} records to {args.target} ({n_gimbal} gimbal)")
@@ -264,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="populate a pose representation")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--target", choices=("matrix", "euler_pyr", "euler_rpy"), required=True)
+    p.add_argument("--target", choices=("matrix", *(f"euler_{name}" for name in _CONVENTIONS)),
+                   required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("eval", help="mean geodesic error between two label files")

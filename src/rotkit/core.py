@@ -8,7 +8,7 @@ radians; degrees exist only at I/O boundaries.
 """
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -75,21 +75,56 @@ def rot_z_left(r: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+class _Convention(NamedTuple):
+    """One Euler convention, read by _compose, _compose_rows and euler's
+    _extract and _euler_rows.
+
+    A triple (first, middle, last) composes as R_a @ R_b @ R_c for axes
+    "abc".  Entries index the row-major matrix m: middle = asin(-m[mid]);
+    first and last are atan2 of their (numerator, denominator) entries; at
+    the lock, half = atan2(+/-m[lock[0]], m[lock[1]]) / 2 with + at middle =
+    +pi/2, and (first, last) = split * half.
+    """
+
+    axes: str
+    mid: int
+    first: Tuple[int, int]
+    last: Tuple[int, int]
+    lock: Tuple[int, int]
+    split_up: Tuple[float, float]  # middle = +pi/2
+    split_down: Tuple[float, float]  # middle = -pi/2
+
+
+# The Euler conventions, in the order label files list their views.
+_CONVENTIONS = {
+    # pitch-yaw-roll, 300W-LP: Rx(p) @ Ry(y) @ Rz(r); locked yaw fixes p -/+ r
+    "pyr": _Convention("xyz", 2, (5, 8), (1, 0), (3, 4), (1.0, -1.0), (1.0, 1.0)),
+    # roll-pitch-yaw, Blender/Panohead: Rz(r) @ Rx(p) @ Ry(y); locked pitch fixes y -/+ r
+    "rpy": _Convention("zxy", 7, (1, 4), (6, 8), (3, 0), (-1.0, 1.0), (1.0, 1.0)),
+}
+
+# Each convention's elemental rotations, left to right, resolved once so
+# that _compose costs compose_pyr no per-call lookup of the axes.
+_ELEMENTALS = {
+    name: tuple({"x": rot_x_left, "y": rot_y_left, "z": rot_z_left}[axis] for axis in conv.axes)
+    for name, conv in _CONVENTIONS.items()
+}
+
+
+def _compose(e, convention: str) -> np.ndarray:
+    f, g, h = _ELEMENTALS[convention]
+    a, b, c = e
+    return f(a) @ g(b) @ h(c)
+
+
 def compose_pyr(e) -> np.ndarray:
     """Rotation matrix of a pitch-yaw-roll triple: Rx(p) @ Ry(y) @ Rz(r)."""
-    p, y, r = e
-    return rot_x_left(p) @ rot_y_left(y) @ rot_z_left(r)
+    return _compose(e, "pyr")
 
 
 def compose_rpy(e) -> np.ndarray:
     """Rotation matrix of a roll-pitch-yaw triple: Rz(r) @ Rx(p) @ Ry(y)."""
-    r, p, y = e
-    return rot_z_left(r) @ rot_x_left(p) @ rot_y_left(y)
-
-
-def multiply(a, b) -> np.ndarray:
-    """Plain 3x3 matrix product."""
-    return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
+    return _compose(e, "rpy")
 
 
 def _det3(a: np.ndarray) -> float:
@@ -241,22 +276,14 @@ def _rot_batch(axis: str, theta: np.ndarray) -> np.ndarray:
     return out.reshape(-1, 3, 3)
 
 
-def _compose_pyr_batch(angles: np.ndarray) -> np.ndarray:
-    """compose_pyr over an (n, 3) array of finite pitch-yaw-roll rows; (n, 3, 3).
+def _compose_rows(angles: np.ndarray, convention: str) -> np.ndarray:
+    """_compose over an (n, 3) array of finite angle rows; (n, 3, 3).
 
-    Row for row the same bytes as compose_pyr, signed zeros included.
+    Row for row the same bytes as compose_pyr ("pyr") or compose_rpy
+    ("rpy"), signed zeros included.
     """
-    p, y, r = angles.T
-    return _rot_batch("x", p) @ _rot_batch("y", y) @ _rot_batch("z", r)
-
-
-def _compose_rpy_batch(angles: np.ndarray) -> np.ndarray:
-    """compose_rpy over an (n, 3) array of finite roll-pitch-yaw rows; (n, 3, 3).
-
-    Row for row the same bytes as compose_rpy, signed zeros included.
-    """
-    r, p, y = angles.T
-    return _rot_batch("z", r) @ _rot_batch("x", p) @ _rot_batch("y", y)
+    (i, a), (j, b), (k, c) = zip(_CONVENTIONS[convention].axes, angles.T)
+    return _rot_batch(i, a) @ _rot_batch(j, b) @ _rot_batch(k, c)
 
 
 def _quat_to_matrix(w: float, x: float, y: float, z: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .augment import _augment_rows
-from .core import _compose_pyr_batch, _quat_to_matrix, wrap_angle
+from .core import _compose_rows, _quat_to_matrix, wrap_angle
 from .eigen import symmetric_eigh
 from .euler import _euler_rows
 from .labels import CHUNK_RECORDS
@@ -66,7 +66,7 @@ def _spiral_rows(spec: SpiralSpec, start: int, stop: int) -> np.ndarray:
     """Poses start..stop-1 of the spiral as an (n, 3, 3) stack.
 
     Angles are computed pose by pose in Python floats and composed in one
-    _compose_pyr_batch, whose rows equal compose_pyr's byte for byte.
+    _compose_rows, whose rows equal compose_pyr's byte for byte.
     """
     angles = []
     for i in range(start, stop):
@@ -74,7 +74,7 @@ def _spiral_rows(spec: SpiralSpec, start: int, stop: int) -> np.ndarray:
         pitch = spec.pitch_min + t * (spec.pitch_max - spec.pitch_min)
         yaw = _triangle_yaw(t * spec.turns * 2.0 * math.pi)
         angles.append((pitch, yaw, 0.0))
-    return _compose_pyr_batch(np.array(angles).reshape(-1, 3))
+    return _compose_rows(np.array(angles).reshape(-1, 3), "pyr")
 
 
 def densify_rolls(
@@ -105,14 +105,6 @@ def random_rotation(rng: "np.random.Generator") -> np.ndarray:
             break
     w, x, y, z = (float(v) / n for v in q)
     return _quat_to_matrix(w, x, y, z)
-
-
-def flatten9(r) -> np.ndarray:
-    """Row-major flattening of a 3x3 matrix to a 9-vector."""
-    a = np.asarray(r, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    return a.reshape(9).copy()
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,28 @@
-"""Closed-form Euler extraction for both axis-sequence conventions.
+"""Closed-form Euler extraction: one routine for every convention.
 
-A rotation composed in the intrinsic XYZ (pitch-yaw-roll) order has two
-Euler representations away from Gimbal lock; at yaw = +/-pi/2 only the
-combination pitch -/+ roll is determined.  The canonical representative
-keeps yaw in [-pi/2, pi/2] (the choice 300W-LP labels follow) and, in the
-locked case, splits the coupled angle evenly so pitch and roll both land
-in [-pi/2, pi/2].  The intrinsic ZXY (roll-pitch-yaw) sequence used by
-Blender/Panohead-style generators is handled the same way, with the lock
-at pitch = +/-pi/2.
+Each convention is one row of core._CONVENTIONS: its axis order, the
+matrix entries that give each angle, and the split at Gimbal lock.  The
+elemental rotations are left-handed (rot_x_left, rot_y_left, rot_z_left),
+so a convention is scipy's right-handed intrinsic sequence with every angle
+negated:
+
+    convention  triple e            matrix                  scipy Rotation
+    pyr         (pitch, yaw, roll)  Rx(p) @ Ry(y) @ Rz(r)   from_euler("XYZ", -e)
+    rpy         (roll, pitch, yaw)  Rz(r) @ Rx(p) @ Ry(y)   from_euler("ZXY", -e)
+
+Away from the lock, extraction equals -as_euler(...) of the same sequence,
+with the middle angle in [-pi/2, pi/2].  At the lock (|cos(middle)| <=
+GIMBAL_EPS) only one combination of the outer angles is determined, and it
+is split evenly between them:
+
+    pyr, yaw = +pi/2:    pitch - roll;  (pitch, roll) = (half, -half)
+    pyr, yaw = -pi/2:    pitch + roll;  (pitch, roll) = (half, half)
+    rpy, pitch = +pi/2:  yaw - roll;    (roll, yaw) = (-half, half)
+    rpy, pitch = -pi/2:  yaw + roll;    (roll, yaw) = (half, half)
+
+so both outer angles land in [-pi/2, pi/2].  Pitch-yaw-roll also reports
+its second representation away from the lock; the canonical one keeps yaw
+in [-pi/2, pi/2], the choice 300W-LP labels follow.
 """
 
 import math
@@ -17,6 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (
+    _CONVENTIONS,
     EulerPYR,
     EulerRPY,
     _require_rotations,
@@ -58,11 +74,32 @@ class RpySolution:
     value: EulerRPY
 
 
-def _check_eps(gimbal_eps: float) -> float:
+def _extract(r, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
+    """The (first, middle, last) angles of a rotation in a convention of
+    core._CONVENTIONS, and its lock: 0, or +1 / -1 when locked with the
+    middle angle at +pi/2 / -pi/2.
+
+    The middle angle stays in asin's [-pi/2, pi/2]; first and last are
+    wrapped into (-pi, pi].
+    """
+    _, i_mid, (fy, fx), (ly, lx), (num, den), split_up, split_down = _CONVENTIONS[convention]
     gimbal_eps = float(gimbal_eps)
     if not gimbal_eps > 0.0:
         raise ValueError("gimbal_eps must be positive")
-    return gimbal_eps
+    m = require_rotation(r).ravel().tolist()
+
+    mid = math.asin(min(1.0, max(-1.0, -m[i_mid])))
+    c = math.cos(mid)
+    if c > gimbal_eps:
+        first = wrap_angle(math.atan2(m[fy] / c, m[fx] / c))
+        return (first, mid, wrap_angle(math.atan2(m[ly] / c, m[lx] / c))), 0
+
+    if m[i_mid] <= 0.0:
+        half, lock = 0.5 * math.atan2(m[num], m[den]), 1
+    else:
+        half, lock = 0.5 * math.atan2(-m[num], m[den]), -1
+    a, b = split_up if lock > 0 else split_down
+    return (a * half, lock * _HALF_PI, b * half), lock
 
 
 def extract_pyr(r, gimbal_eps: float = GIMBAL_EPS) -> PyrSolutions:
@@ -70,37 +107,18 @@ def extract_pyr(r, gimbal_eps: float = GIMBAL_EPS) -> PyrSolutions:
 
     Away from the lock (|cos(yaw)| > gimbal_eps) both solutions are
     returned; the primary has yaw in [-pi/2, pi/2] and the secondary is
-    the complementary representation of the same rotation.  Dividing the
-    arctangent arguments by cos(yaw) keeps the quadrant right when
-    cos(yaw) < 0 would otherwise flip both signs.
+    the complementary representation of the same rotation.
     """
-    gimbal_eps = _check_eps(gimbal_eps)
-    a = require_rotation(r)
-    m = a.ravel().tolist()
-
-    y1 = math.asin(min(1.0, max(-1.0, -m[2])))
-    cy = math.cos(y1)
-    if cy > gimbal_eps:
-        p1 = math.atan2(m[5] / cy, m[8] / cy)
-        r1 = math.atan2(m[1] / cy, m[0] / cy)
-        y2 = math.pi - y1 if y1 >= 0.0 else -math.pi - y1
-        p2 = p1 - math.pi if p1 >= 0.0 else p1 + math.pi
-        r2 = r1 - math.pi if r1 >= 0.0 else r1 + math.pi
-        primary = EulerPYR(wrap_angle(p1), wrap_angle(y1), wrap_angle(r1))
-        secondary = EulerPYR(wrap_angle(p2), wrap_angle(y2), wrap_angle(r2))
-        return PyrSolutions("regular", primary, secondary)
-
-    if m[2] <= 0.0:
-        # yaw = +pi/2: rows give sin/cos of (pitch - roll)
-        half = 0.5 * math.atan2(m[3], m[4])
-        return PyrSolutions(
-            "gimbal_up", EulerPYR(half, _HALF_PI, -half), None, 2.0 * half
-        )
-    # yaw = -pi/2: rows give sin/cos of (pitch + roll)
-    half = 0.5 * math.atan2(-m[3], m[4])
-    return PyrSolutions(
-        "gimbal_down", EulerPYR(half, -_HALF_PI, half), None, 2.0 * half
-    )
+    (p1, y1, r1), lock = _extract(r, "pyr", gimbal_eps)
+    primary = EulerPYR(p1, y1, r1)
+    if lock:
+        kind = "gimbal_up" if lock > 0 else "gimbal_down"
+        return PyrSolutions(kind, primary, None, 2.0 * p1)
+    y2 = math.pi - y1 if y1 >= 0.0 else -math.pi - y1
+    p2 = p1 - math.pi if p1 >= 0.0 else p1 + math.pi
+    r2 = r1 - math.pi if r1 >= 0.0 else r1 + math.pi
+    secondary = EulerPYR(wrap_angle(p2), wrap_angle(y2), wrap_angle(r2))
+    return PyrSolutions("regular", primary, secondary)
 
 
 def canonical_pyr(r, gimbal_eps: float = GIMBAL_EPS) -> EulerPYR:
@@ -114,39 +132,8 @@ def extract_rpy(r, gimbal_eps: float = GIMBAL_EPS) -> RpySolution:
     At the lock (pitch = +/-pi/2) only yaw -/+ roll is determined; it is
     split evenly between the two, mirroring the pitch-yaw-roll convention.
     """
-    gimbal_eps = _check_eps(gimbal_eps)
-    a = require_rotation(r)
-    m = a.ravel().tolist()
-
-    p = math.asin(min(1.0, max(-1.0, -m[7])))
-    cp = math.cos(p)
-    if cp > gimbal_eps:
-        y = math.atan2(m[6] / cp, m[8] / cp)
-        rr = math.atan2(m[1] / cp, m[4] / cp)
-        return RpySolution(
-            "regular", EulerRPY(wrap_angle(rr), wrap_angle(p), wrap_angle(y))
-        )
-
-    if m[7] <= 0.0:
-        # pitch = +pi/2: only yaw - roll is determined
-        half = 0.5 * math.atan2(m[3], m[0])
-        return RpySolution("gimbal", EulerRPY(-half, _HALF_PI, half))
-    # pitch = -pi/2: only yaw + roll is determined
-    half = 0.5 * math.atan2(-m[3], m[0])
-    return RpySolution("gimbal", EulerRPY(half, -_HALF_PI, half))
-
-
-# Per convention: the scalar extractor, the entry whose asin is the middle
-# angle, and the (numerator, denominator) entries of the atan2 of the first
-# and of the last angle.  Both triples are ordered (first, middle, last).
-_ROW_FORMS = {
-    "pyr": (extract_pyr, 2, (5, 8), (1, 0)),
-    "rpy": (extract_rpy, 7, (1, 4), (6, 8)),
-}
-
-
-def _angles(sol) -> tuple:
-    return sol.primary if isinstance(sol, PyrSolutions) else sol.value
+    angles, lock = _extract(r, "rpy", gimbal_eps)
+    return RpySolution("gimbal" if lock else "regular", EulerRPY(*angles))
 
 
 def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,16 +142,15 @@ def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]
 
     Returns the (n, 3) angle rows and the mask of rows the scalar extractor
     reports as Gimbal-locked.  One SO(3) check for the stack
-    (_require_rotations); regular rows repeat the scalar branch's
-    operations, with asin, cos and atan2 from `math` on Python floats
-    (numpy's can differ in the last bit) and only the divisions in numpy;
-    locked rows go to the scalar extractor.  So every row equals the scalar
-    result exactly.
+    (_require_rotations); regular rows repeat _extract's operations, with
+    asin, cos and atan2 from `math` on Python floats (numpy's can differ in
+    the last bit) and only the divisions in numpy; locked rows go to
+    _extract itself.  So every row equals the scalar result exactly.
     """
-    extract, lock, first, second = _ROW_FORMS[convention]
+    conv = _CONVENTIONS[convention]
     a = _require_rotations(a)
     flat = a.reshape(-1, 9)
-    mid = list(map(math.asin, np.clip(-flat[:, lock], -1.0, 1.0).tolist()))
+    mid = list(map(math.asin, np.clip(-flat[:, conv.mid], -1.0, 1.0).tolist()))
     c = np.array(list(map(math.cos, mid)))
 
     def atan2(i, j):
@@ -174,10 +160,10 @@ def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]
         return list(map(wrap_angle, map(math.atan2, y, x)))
 
     # wrap_angle leaves asin's range, the middle angle, unchanged
-    out = np.column_stack([atan2(*first), mid, atan2(*second)])
+    out = np.column_stack([atan2(*conv.first), mid, atan2(*conv.last)])
     locked = ~(c > GIMBAL_EPS)
     for k in np.flatnonzero(locked).tolist():
-        out[k] = _angles(extract(a[k]))
+        out[k] = _extract(a[k], convention, GIMBAL_EPS)[0]
     return out, locked
 
 

@@ -35,12 +35,11 @@ import numpy as np
 
 from .core import (
     _BATCH_MARGIN,
+    _CONVENTIONS,
     _all_rotations,
-    _compose_pyr_batch,
-    _compose_rpy_batch,
+    _compose,
+    _compose_rows,
     _geodesic_rows,
-    compose_pyr,
-    compose_rpy,
     geodesic_distance,
     is_rotation,
 )
@@ -58,6 +57,10 @@ GIMBAL_CONSISTENCY_TOL = 2.0 * GIMBAL_EPS
 # decoded JSON objects (about 2 KB each) at once; larger chunks run no
 # faster.
 CHUNK_RECORDS = 1024
+# The Euler view fields, one per convention and in its order, with the
+# convention's name: ("euler_pyr_deg", "pyr"), ("euler_rpy_deg", "rpy").
+# PoseRecord lists its view fields in the same order.
+_VIEWS = tuple((f"euler_{name}_deg", name) for name in _CONVENTIONS)
 
 
 class ValidationError(ValueError):
@@ -100,8 +103,8 @@ def _check_euler_view(rec_id: str, rotation, matrix, tol: float, what: str) -> N
         )
 
 
-def _view_tol(obj: dict) -> float:
-    return GIMBAL_CONSISTENCY_TOL if obj.get("gimbal", False) else EULER_CONSISTENCY_TOL
+# Types of a valid gimbal flag: JSON true or false; absent or null means false.
+_FLAG_TYPES = {bool, type(None)}
 
 
 def _check_provenance(obj: dict, rec_id: str) -> list:
@@ -116,17 +119,12 @@ def _image_path(obj: dict) -> Optional[str]:
     return None if image_path is None else str(image_path)
 
 
-def _finish_record(obj: dict, rec_id: str, rotation, euler_pyr_deg, euler_rpy_deg) -> PoseRecord:
-    # The non-numeric fields, once rotation and views have passed.
+def _finish_record(obj: dict, rec_id: str, rotation, views) -> PoseRecord:
+    # The non-numeric fields, once rotation, gimbal flag and views (one
+    # per _VIEWS entry) have passed.  Positional: keywords cost more.
     provenance = _check_provenance(obj, rec_id)
     return PoseRecord(
-        id=rec_id,
-        rotation=rotation,
-        image_path=_image_path(obj),
-        euler_pyr_deg=euler_pyr_deg,
-        euler_rpy_deg=euler_rpy_deg,
-        gimbal=bool(obj.get("gimbal", False)),
-        provenance=provenance,
+        rec_id, rotation, _image_path(obj), *views, bool(obj.get("gimbal")), provenance
     )
 
 
@@ -151,21 +149,21 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
             f"record {rec_id!r}: rotation fails the SO(3) check at {FILE_ORTHO_TOL:g}"
         )
 
-    tol = _view_tol(obj)
+    gimbal = obj.get("gimbal")
+    if type(gimbal) not in _FLAG_TYPES:
+        raise ValidationError(f"record {rec_id!r}: gimbal must be true or false")
+    tol = GIMBAL_CONSISTENCY_TOL if gimbal else EULER_CONSISTENCY_TOL
 
-    euler_pyr_deg = None
-    if obj.get("euler_pyr_deg") is not None:
-        euler_pyr_deg = _as_triple(obj["euler_pyr_deg"], "euler_pyr_deg", rec_id)
-        composed = compose_pyr([math.radians(v) for v in euler_pyr_deg])
-        _check_euler_view(rec_id, rotation, composed, tol, "euler_pyr_deg")
+    views = []
+    for field_name, convention in _VIEWS:
+        view = None
+        if obj.get(field_name) is not None:
+            view = _as_triple(obj[field_name], field_name, rec_id)
+            composed = _compose([math.radians(v) for v in view], convention)
+            _check_euler_view(rec_id, rotation, composed, tol, field_name)
+        views.append(view)
 
-    euler_rpy_deg = None
-    if obj.get("euler_rpy_deg") is not None:
-        euler_rpy_deg = _as_triple(obj["euler_rpy_deg"], "euler_rpy_deg", rec_id)
-        composed = compose_rpy([math.radians(v) for v in euler_rpy_deg])
-        _check_euler_view(rec_id, rotation, composed, tol, "euler_rpy_deg")
-
-    return _finish_record(obj, rec_id, rotation, euler_pyr_deg, euler_rpy_deg)
+    return _finish_record(obj, rec_id, rotation, views)
 
 
 def record_to_dict(rec: PoseRecord) -> dict:
@@ -178,10 +176,10 @@ def _record_obj(rec: PoseRecord, rotation: list) -> dict:
     if rec.image_path is not None:
         obj["image_path"] = rec.image_path
     obj["rotation"] = rotation
-    if rec.euler_pyr_deg is not None:
-        obj["euler_pyr_deg"] = [float(v) for v in rec.euler_pyr_deg]
-    if rec.euler_rpy_deg is not None:
-        obj["euler_rpy_deg"] = [float(v) for v in rec.euler_rpy_deg]
+    for field_name, _ in _VIEWS:
+        view = getattr(rec, field_name)
+        if view is not None:
+            obj[field_name] = [float(v) for v in view]
     if rec.gimbal:
         obj["gimbal"] = True
     if rec.provenance:
@@ -208,78 +206,69 @@ def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
 # record_from_dict decides, and the verdicts are the scalar ones exactly.
 
 
-def _views_agree(rotations, idx, views, compose, tols) -> bool:
-    # Euler views (degrees) against their rows of rotations, as in
-    # _check_euler_view: geodesic from the composed view to the matrix.
+def _chunk_views(column: list, rotations, convention: str, tols) -> Optional[list]:
+    # One convention's Euler views (degrees, a JSON value or None per
+    # record) against their rows of rotations, as in _check_euler_view:
+    # geodesic from the composed view to the matrix.  Returns column with
+    # each view as a tuple, or None when some view is malformed or too far
+    # off.
+    idx = [i for i, view in enumerate(column) if view is not None]
     if not idx:
-        return True
-    dist = _geodesic_rows(compose(np.radians(views)), rotations[idx])
-    return bool((dist <= tols[idx] * (1.0 - _BATCH_MARGIN)).all())
+        return column
+    views = _float_rows([column[i] for i in idx], 3)
+    if views is None:
+        return None
+    dist = _geodesic_rows(_compose_rows(np.radians(views), convention), rotations[idx])
+    if not (dist <= tols[idx] * (1.0 - _BATCH_MARGIN)).all():
+        return None
+    for i, view in zip(idx, map(tuple, views.tolist())):
+        column[i] = view
+    return column
 
 
 class _Chunk(NamedTuple):
     """Up to CHUNK_RECORDS validated records, as columns.
 
-    rotations is one (n, 3, 3) stack; pyr and rpy hold each record's
-    Euler view as a tuple, or None.
+    rotations is one (n, 3, 3) stack; views holds one list per _VIEWS
+    entry, with each record's Euler view as a tuple, or None.
     """
 
     objs: list  # the decoded JSON objects
     ids: List[str]
     rotations: np.ndarray
-    pyr: list
-    rpy: list
+    views: tuple
 
 
 def _chunk_batched(objs: list) -> Optional[_Chunk]:
     """The chunk record_from_dict would accept from objs, or None.
 
-    None means some object may break the numeric contract or sits at a
-    tolerance edge; the caller then re-validates one record at a time.
+    None means some object may break the contract or sits at a tolerance
+    edge; the caller then re-validates one record at a time.
     """
-    n = len(objs)
-    rot_rows, tols = [], []
-    pyr_idx, pyr_rows, rpy_idx, rpy_rows = [], [], [], []
-    for i, obj in enumerate(objs):
+    for obj in objs:
         if not isinstance(obj, dict) or "id" not in obj or "rotation" not in obj:
             return None
-        rot_rows.append(obj["rotation"])
-        tols.append(_view_tol(obj))
-        view = obj.get("euler_pyr_deg")
-        if view is not None:
-            pyr_idx.append(i)
-            pyr_rows.append(view)
-        view = obj.get("euler_rpy_deg")
-        if view is not None:
-            rpy_idx.append(i)
-            rpy_rows.append(view)
-
-    flat = _float_rows(rot_rows, 9)
-    pyr = _float_rows(pyr_rows, 3) if pyr_rows else np.empty((0, 3))
-    rpy = _float_rows(rpy_rows, 3) if rpy_rows else np.empty((0, 3))
-    if flat is None or pyr is None or rpy is None:
+    flags = [obj.get("gimbal") for obj in objs]
+    flat = _float_rows([obj["rotation"] for obj in objs], 9)
+    if flat is None or not set(map(type, flags)) <= _FLAG_TYPES:
         return None
-    rotations = flat.reshape(n, 3, 3)
+    rotations = flat.reshape(-1, 3, 3)
     if not _all_rotations(rotations, FILE_ORTHO_TOL):
         return None
-    tols = np.array(tols)
-    if not (
-        _views_agree(rotations, pyr_idx, pyr, _compose_pyr_batch, tols)
-        and _views_agree(rotations, rpy_idx, rpy, _compose_rpy_batch, tols)
-    ):
-        return None
+    tols = np.array([GIMBAL_CONSISTENCY_TOL if flag else EULER_CONSISTENCY_TOL for flag in flags])
+    views = []
+    for field_name, convention in _VIEWS:
+        column = _chunk_views([obj.get(field_name) for obj in objs], rotations, convention, tols)
+        if column is None:
+            return None
+        views.append(column)
 
     ids = [str(obj["id"]) for obj in objs]
     # a non-list provenance raises here, as it would line by line: every
     # record's numeric checks have passed
     for obj, rec_id in zip(objs, ids):
         _check_provenance(obj, rec_id)
-    pyr_views, rpy_views = [None] * n, [None] * n
-    for i, view in zip(pyr_idx, pyr.tolist()):
-        pyr_views[i] = tuple(view)
-    for i, view in zip(rpy_idx, rpy.tolist()):
-        rpy_views[i] = tuple(view)
-    return _Chunk(objs, ids, rotations, pyr_views, rpy_views)
+    return _Chunk(objs, ids, rotations, tuple(views))
 
 
 def _chunk_one_by_one(path, lines, objs) -> _Chunk:
@@ -291,8 +280,7 @@ def _chunk_one_by_one(path, lines, objs) -> _Chunk:
         objs,
         [rec.id for rec in records],
         np.array([rec.rotation for rec in records]).reshape(-1, 3, 3),
-        [rec.euler_pyr_deg for rec in records],
-        [rec.euler_rpy_deg for rec in records],
+        tuple([getattr(rec, field_name) for rec in records] for field_name, _ in _VIEWS),
     )
 
 
@@ -331,9 +319,9 @@ def _read_chunks(path) -> Iterator[_Chunk]:
 
 def _chunk_records(chunk: _Chunk) -> List[PoseRecord]:
     return [
-        _finish_record(obj, rec_id, rotation, pyr, rpy)
-        for obj, rec_id, rotation, pyr, rpy in zip(
-            chunk.objs, chunk.ids, chunk.rotations, chunk.pyr, chunk.rpy
+        _finish_record(obj, rec_id, rotation, views)
+        for obj, rec_id, rotation, views in zip(
+            chunk.objs, chunk.ids, chunk.rotations, zip(*chunk.views)
         )
     ]
 

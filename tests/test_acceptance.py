@@ -17,7 +17,6 @@ from rotkit import (
     densify_rolls,
     extract_pyr,
     extract_rpy,
-    flatten9,
     flip_image_label,
     geodesic_distance,
     horn_rotation,
@@ -203,7 +202,7 @@ def test_06_coverage_reproduction(tmp_path):
     assert cli_main(["pca", "--input", str(combined_path), "--output", str(pca_csv)]) == 0
     assert len(pca_csv.read_text().splitlines()) == 5761
 
-    vectors = np.array([flatten9(r) for r in combined])
+    vectors = np.array(combined).reshape(-1, 9)
     result = pca_project(vectors)
     centered = vectors - vectors.mean(axis=0)
     cov = centered.T @ centered / (len(vectors) - 1)

@@ -45,7 +45,7 @@ from rotkit import (
 )
 from rotkit.augment import _augment_rows, _flip_rows, _rotate_rows
 from rotkit.cli import main
-from rotkit.core import _compose_pyr_batch, _compose_rpy_batch
+from rotkit.core import _compose_rows
 from rotkit.coverage import _spiral_rows, _triangle_yaw
 from rotkit.drawing import _segments_rows
 from rotkit.euler import _euler_rows
@@ -120,8 +120,8 @@ class TestKernels:
     @given(ANGLE_ROWS)
     def test_compose(self, rows):
         a = np.array(rows)
-        _same_rows(_compose_pyr_batch(a), [compose_pyr(e) for e in rows])
-        _same_rows(_compose_rpy_batch(a), [compose_rpy(e) for e in rows])
+        _same_rows(_compose_rows(a, "pyr"), [compose_pyr(e) for e in rows])
+        _same_rows(_compose_rows(a, "rpy"), [compose_rpy(e) for e in rows])
 
     @kernel_settings
     @given(stacks, st.lists(angles, min_size=24, max_size=24))
@@ -217,9 +217,8 @@ angle_lists = st.lists(angles, min_size=24, max_size=24)
 
 def _round_trip(stack, convention):
     """Max entry deviation of compose(extract(row)) from each row, and the lock mask."""
-    compose = _compose_pyr_batch if convention == "pyr" else _compose_rpy_batch
     angles, locked = _euler_rows(stack, convention)
-    return np.abs(compose(angles) - stack).max(axis=(1, 2)), locked
+    return np.abs(_compose_rows(angles, convention) - stack).max(axis=(1, 2)), locked
 
 
 class TestKernelProperties:

@@ -13,7 +13,6 @@ from rotkit import (
     compose_rpy,
     geodesic_distance,
     is_rotation,
-    multiply,
     random_rotation,
     rot_x_left,
     rot_y_left,
@@ -22,8 +21,7 @@ from rotkit import (
 )
 from rotkit.core import (
     ORTHO_TOL,
-    _compose_pyr_batch,
-    _compose_rpy_batch,
+    _compose_rows,
     _geodesic_batch,
     _is_rotation_batch,
 )
@@ -107,24 +105,6 @@ class TestCompose:
             p, y, r = rng.uniform(-math.pi, math.pi, size=3)
             extrinsic = rot_x_left(p) @ (rot_y_left(y) @ rot_z_left(r))
             assert np.abs(compose_pyr((p, y, r)) - extrinsic).max() < 1e-14
-
-
-class TestMultiply:
-    def test_identity(self):
-        r = compose_pyr((0.4, -0.2, 1.1))
-        np.testing.assert_array_equal(multiply(np.eye(3), r), r)
-
-    def test_transpose_gives_identity(self):
-        r = compose_pyr((0.4, -0.2, 1.1))
-        assert np.abs(multiply(r, r.T) - np.eye(3)).max() < 1e-12
-
-    def test_associativity(self):
-        a = compose_pyr((0.3, 0.1, -0.5))
-        b = compose_pyr((-1.2, 0.8, 0.2))
-        c = compose_pyr((2.0, -0.4, 1.7))
-        left = multiply(multiply(a, b), c)
-        right = multiply(a, multiply(b, c))
-        assert np.abs(left - right).max() < 1e-12
 
 
 class TestIsRotation:
@@ -260,7 +240,7 @@ class TestBatchedKernels:
         # so only closeness is portable; read_labels keeps a margin for it
         rng = np.random.default_rng(43)
         angles = rng.uniform(-math.pi, math.pi, (64, 3))
-        pyr, rpy = _compose_pyr_batch(angles), _compose_rpy_batch(angles)
+        pyr, rpy = _compose_rows(angles, "pyr"), _compose_rows(angles, "rpy")
         for k, e in enumerate(angles):
             assert np.abs(pyr[k] - compose_pyr(e)).max() <= 1e-15
             assert np.abs(rpy[k] - compose_rpy(e)).max() <= 1e-15

@@ -8,7 +8,6 @@ from rotkit import (
     canonical_pyr,
     densify_rolls,
     euler_range_stats,
-    flatten9,
     geodesic_distance,
     is_rotation,
     pca_project,
@@ -143,35 +142,9 @@ class TestRandomRotation:
         assert abs(total / n) < 3.0 / math.sqrt(n)
 
 
-class TestFlatten9:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            flatten9(np.eye(3)), [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
-        )
-
-    def test_row_major_entries(self):
-        from rotkit import compose_pyr
-
-        r = compose_pyr((0.1, 0.2, 0.3))
-        v = flatten9(r)
-        for i in range(3):
-            for j in range(3):
-                assert v[3 * i + j] == r[i, j]
-
-    def test_reshape_inverse(self):
-        from rotkit import compose_pyr
-
-        r = compose_pyr((0.6, -0.2, 1.4))
-        np.testing.assert_array_equal(flatten9(r).reshape(3, 3), r)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            flatten9(np.eye(4))
-
-
 class TestPca:
     def test_identical_inputs_project_to_origin(self):
-        vectors = [flatten9(np.eye(3))] * 10
+        vectors = [np.eye(3).reshape(9)] * 10
         result = pca_project(vectors)
         np.testing.assert_allclose(result.projected, 0.0, atol=1e-12)
         np.testing.assert_allclose(result.explained_variance, 0.0, atol=1e-12)
@@ -194,7 +167,7 @@ class TestPca:
 
     def test_eigenvalue_sum_equals_covariance_trace(self):
         rng = np.random.default_rng(97)
-        vectors = [flatten9(random_rotation(rng)) for _ in range(300)]
+        vectors = [random_rotation(rng).reshape(9) for _ in range(300)]
         x = np.asarray(vectors)
         cov = (x - x.mean(0)).T @ (x - x.mean(0)) / (len(vectors) - 1)
         result = pca_project(vectors)
@@ -202,7 +175,7 @@ class TestPca:
 
     def test_components_orthonormal_and_variances_descending(self):
         rng = np.random.default_rng(101)
-        vectors = [flatten9(random_rotation(rng)) for _ in range(200)]
+        vectors = [random_rotation(rng).reshape(9) for _ in range(200)]
         result = pca_project(vectors)
         gram = result.components @ result.components.T
         assert np.abs(gram - np.eye(3)).max() < 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,10 +14,11 @@ from rotkit import (
     compose_pyr,
     random_rotation,
     read_labels,
+    rot_z_left,
     write_labels,
 )
 from rotkit.augment import pose_stream
-from rotkit.labels import CHUNK_RECORDS, record_to_dict
+from rotkit.labels import _VIEWS, CHUNK_RECORDS, record_to_dict
 
 
 def _records(n, seed=0):
@@ -69,6 +71,12 @@ class TestRoundTrip:
         write_labels(records, p1)
         write_labels(records, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_record_fields_follow_the_convention_table():
+    # the readers build PoseRecords positionally, one view per convention
+    names = [f.name for f in dataclasses.fields(PoseRecord)]
+    assert names == ["id", "rotation", "image_path", *(f for f, _ in _VIEWS), "gimbal", "provenance"]
 
 
 class TestValidation:
@@ -129,6 +137,28 @@ class TestValidation:
         write_labels([PoseRecord(id="g", rotation=r, euler_pyr_deg=snapped)], bad)
         with pytest.raises(ValidationError, match="'g'"):
             read_labels(bad)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, []])
+    def test_gimbal_flag_must_be_a_bool(self, tmp_path, flag):
+        # the view is 1e-5 rad off: inside GIMBAL_CONSISTENCY_TOL, which a
+        # truthy string would otherwise select, outside the usual 1e-6.
+        # The flag is checked before the views.
+        angles = (0.3, 0.2, 0.1)
+        r = compose_pyr(angles) @ rot_z_left(1e-5)
+        obj = {"id": "g", "rotation": r.reshape(9).tolist(),
+               "euler_pyr_deg": [math.degrees(v) for v in angles], "gimbal": flag}
+        path = tmp_path / "flag.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="record 'g': gimbal must be true or false"):
+            read_labels(path)
+
+    def test_null_gimbal_flag_means_false(self, tmp_path):
+        r = compose_pyr((0.3, 0.2, 0.1))
+        path = tmp_path / "flag.jsonl"
+        lines = [{"id": "n", "rotation": r.reshape(9).tolist(), "gimbal": None},
+                 {"id": "f", "rotation": r.reshape(9).tolist(), "gimbal": False}]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        assert [rec.gimbal for rec in read_labels(path)] == [False, False]
 
     def test_rpy_view_checked(self, tmp_path):
         path = tmp_path / "rpy.jsonl"

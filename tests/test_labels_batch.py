@@ -147,6 +147,7 @@ DEFECTS = {
         gimbal=True,
     ),
     "provenance_not_list": lambda obj: dict(obj, provenance={"kind": "rotate"}),
+    "gimbal_not_bool": lambda obj: dict(obj, gimbal="false"),
 }
 
 
