@@ -178,21 +178,52 @@ def _flip_rows(a: np.ndarray, thetas: list) -> np.ndarray:
     return m.reshape(-1, 3, 3) @ a @ _FLIP_X
 
 
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3", SC 2011), as numpy's Philox bit generator runs it: the round
+# multipliers and the Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # The high and low words of the 128-bit product of the 64-bit constant
+    # a and each uint64 of b, the high word from 32-bit halves.
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LO32, b >> _32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), np.uint64(a) * b
+
+
+def _philox_raw(seed: int, start: int, n: int, count: int) -> np.ndarray:
+    """Row i is pose_stream(seed, start + i).bit_generator.random_raw(count).
+
+    Philox(key=k) starts at counter 0 and increments it before each block
+    of four words, so block j (from 1) is the 10-round Philox4x64 of
+    counter (j, 0, 0, 0) under the key words (seed, start + i), all mod
+    2**64.  Computed for every record at once in uint64 arithmetic.
+    """
+    blocks = -(-count // 4)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (n, 1))
+    c1, c2, c3 = (np.zeros((n, blocks), dtype=np.uint64) for _ in range(3))
+    index = (np.arange(n, dtype=np.uint64) + np.uint64(start & _U64))[:, None]
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64)
+        k1 = index + np.uint64(r * _PHILOX_W[1] & _U64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(n, 4 * blocks)[:, :count]
+
+
 def _random_ops(budget: float, seed: int, start: int, n: int, multiplier: int) -> List[AugmentOp]:
     # The ops random_augment draws for records start..start+n-1, `multiplier`
-    # per record from pose_stream(seed, index), in record-major order.  One
-    # Philox bit generator is re-keyed per record instead of building a
-    # Generator; each draw is Generator.random's (raw >> 11) * 2**-53,
-    # scaled as Generator.uniform does.
-    bitgen = np.random.Philox(key=0)
-    state = bitgen.state
-    raws = np.empty((n, 2 * multiplier), dtype=np.uint64)
-    for i in range(n):
-        state["state"]["key"] = np.array([int(seed) & _U64, (start + i) & _U64], dtype=np.uint64)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        raws[i] = bitgen.random_raw(2 * multiplier)
+    # per record from pose_stream(seed, index), in record-major order.  Each
+    # draw is Generator.random's (raw >> 11) * 2**-53, scaled as
+    # Generator.uniform does.
+    raws = _philox_raw(int(seed) & _U64, start, n, 2 * multiplier)
     u = ((raws >> np.uint64(11)).astype(float) * 2.0**-53).reshape(-1, 2).tolist()
     rotate_lo, flip_lo = -budget, _HALF_PI - budget
     rotate_span, flip_span = budget - rotate_lo, _HALF_PI - flip_lo

@@ -21,15 +21,12 @@ from .drawing import DrawSpec, _segments_rows, render_svg
 from .euler import _euler_rows
 from .evaluate import _evaluate_stacks
 from .labels import (
-    CHUNK_RECORDS,
-    PoseRecord,
     ValidationError,
-    _chunk_records,
-    _image_path,
-    _read_chunks,
+    _encode_columns,
+    _map_chunks,
+    _map_ranges,
     _read_stack,
     _write_file,
-    write_labels,
 )
 
 _ID_SAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -57,7 +54,6 @@ def cmd_augment(args) -> int:
     seed = _resolve_seed(args)
     budget = math.radians(args.budget_deg)
     mult = args.multiplier
-    counts = {"rotate": 0, "flip": 0}
 
     if args.mode in ("rotate", "flip"):
         if args.angle_deg is None:
@@ -66,61 +62,75 @@ def cmd_augment(args) -> int:
     else:
         fixed_op = None
 
-    n = 0
+    def work(start, chunk):
+        # one input chunk: its augmented lines and its count of rotations
+        rotations, ops = _augment_rows(chunk.rotations, fixed_op, budget, seed, start, mult)
+        if mult == 1:
+            ids = chunk.ids
+        else:
+            ids = [f"{rec_id}#a{j}" for rec_id in chunk.ids for j in range(mult)]
+        text = _encode_columns(
+            ids,
+            rotations.reshape(-1, 9).tolist(),
+            _repeat_rows(chunk.image_paths, mult),
+            provenance=[
+                prov + [op.as_dict()] for prov, op in zip(_repeat_rows(chunk.provenance, mult), ops)
+            ],
+        )
+        return text, len(chunk.ids), sum(op.kind == "rotate" for op in ops)
 
-    def augmented():
-        # one input chunk at a time; n is the index of its first record
-        nonlocal n
-        for chunk in _read_chunks(args.input):
-            rotations, ops = _augment_rows(chunk.rotations, fixed_op, budget, seed, n, mult)
-            n += len(chunk.ids)
-            records = _chunk_records(chunk)
-            for k, (rotation, op) in enumerate(zip(rotations, ops)):
-                rec, j = records[k // mult], k % mult
-                counts[op.kind] += 1
-                yield PoseRecord(
-                    id=rec.id if mult == 1 else f"{rec.id}#a{j}",
-                    rotation=rotation,
-                    image_path=rec.image_path,
-                    provenance=rec.provenance + [op.as_dict()],
-                )
+    n = n_rotate = 0
 
-    write_labels(augmented(), args.output)
-    print(
-        f"augment: {n} records -> {n * mult} "
-        f"({counts['rotate']} rotate, {counts['flip']} flip)"
-    )
+    def write(fh):
+        nonlocal n, n_rotate
+        for text, count, rotate in _map_chunks(args.input, work):
+            fh.write(text)
+            n += count
+            n_rotate += rotate
+
+    _write_file(args.output, write)
+    print(f"augment: {n} records -> {n * mult} ({n_rotate} rotate, {n * mult - n_rotate} flip)")
     return 0
 
 
+def _repeat_rows(column: list, times: int) -> list:
+    # each entry of column `times` times in a row
+    return column if times == 1 else [value for value in column for _ in range(times)]
+
+
 def cmd_convert(args) -> int:
+    # target "euler_<name>" fills the records' "euler_<name>_deg" view and
+    # flags locked rows; "matrix" drops every view and gimbal flag
+    convention = args.target.removeprefix("euler_")
+
+    def work(start, chunk):
+        views = gimbal = None
+        if args.target != "matrix":
+            angles, locked = _euler_rows(chunk.rotations, convention)
+            views = list(chunk.views)
+            # np.degrees is math.degrees' x * (180 / pi), value for value
+            views[list(_CONVENTIONS).index(convention)] = np.degrees(angles).tolist()
+            gimbal = [lock or flag for lock, flag in zip(locked.tolist(), chunk.gimbal)]
+        text = _encode_columns(
+            chunk.ids,
+            chunk.rotations.reshape(-1, 9).tolist(),
+            chunk.image_paths,
+            views,
+            gimbal,
+            chunk.provenance,
+        )
+        return text, len(chunk.ids), sum(gimbal or ())
+
     n = n_gimbal = 0
-    # target "euler_<name>" fills the records' "euler_<name>_deg" view
-    convention, field_name = args.target.removeprefix("euler_"), f"{args.target}_deg"
 
-    def converted():
-        # _chunk_records builds fresh records, so an Euler target sets its
-        # view in place; "matrix" uses PoseRecord(...) rather than
-        # dataclasses.replace, which costs several times more per record
+    def write(fh):
         nonlocal n, n_gimbal
-        for chunk in _read_chunks(args.input):
-            records = _chunk_records(chunk)
-            if args.target == "matrix":
-                records = [
-                    PoseRecord(rec.id, rec.rotation, rec.image_path, provenance=rec.provenance)
-                    for rec in records
-                ]
-            else:
-                angles, locked = _euler_rows(chunk.rotations, convention)
-                # np.degrees is math.degrees' x * (180 / pi), value for value
-                for rec, deg, lock in zip(records, np.degrees(angles).tolist(), locked.tolist()):
-                    setattr(rec, field_name, tuple(deg))
-                    rec.gimbal = lock or rec.gimbal
-            n += len(records)
-            n_gimbal += sum(rec.gimbal for rec in records)
-            yield from records
+        for text, count, locked in _map_chunks(args.input, work):
+            fh.write(text)
+            n += count
+            n_gimbal += locked
 
-    write_labels(converted(), args.output)
+    _write_file(args.output, write)
     print(f"convert: {n} records to {args.target} ({n_gimbal} gimbal)")
     return 0
 
@@ -153,15 +163,14 @@ def cmd_spiral(args) -> int:
         "pitch_max_deg": args.pitch_range[1],
     }
 
-    def poses():
-        for start in range(0, spec.count, CHUNK_RECORDS):
-            stack = _spiral_rows(spec, start, min(spec.count, start + CHUNK_RECORDS))
-            for i, r in enumerate(stack, start):
-                yield PoseRecord(
-                    id=f"spiral_{i:06d}", rotation=r, provenance=[dict(meta, index=i)]
-                )
+    def work(start, stop):
+        return _encode_columns(
+            [f"spiral_{i:06d}" for i in range(start, stop)],
+            _spiral_rows(spec, start, stop).reshape(-1, 9).tolist(),
+            provenance=[[dict(meta, index=i)] for i in range(start, stop)],
+        )
 
-    write_labels(poses(), args.output)
+    _write_file(args.output, lambda fh: fh.writelines(_map_ranges(spec.count, work)))
     print(f"spiral: wrote {spec.count} zero-roll poses")
     return 0
 
@@ -209,11 +218,14 @@ def cmd_stats(args) -> int:
 def cmd_draw(args) -> int:
     # every chunk is read before any file is written: the file-name check
     # needs all ids
+    def columns(start, chunk):
+        return chunk.ids, chunk.image_paths, chunk.rotations
+
     ids, image_paths, stacks = [], [], []
-    for chunk in _read_chunks(args.input):
-        ids += chunk.ids
-        image_paths += map(_image_path, chunk.objs)
-        stacks.append(chunk.rotations)
+    for chunk_ids, chunk_paths, rotations in _map_chunks(args.input, columns):
+        ids += chunk_ids
+        image_paths += chunk_paths
+        stacks.append(rotations)
     center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
     spec = DrawSpec(center=center, size=args.size)
     names = [_ID_SAFE.sub("_", rec_id) + ".svg" for rec_id in ids]

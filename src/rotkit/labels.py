@@ -12,22 +12,30 @@ shortest round-trip decimals, so write-then-read reproduces rotations
 bit-exactly.
 
 Files are read CHUNK_RECORDS lines at a time.  Each chunk is decoded line
-by line and validated with batched kernels, and comes out as its ids plus
-one (n, 3, 3) rotation stack (_read_chunks); record_from_dict is the
+by line and validated with batched kernels, and comes out as columns: its
+ids, one (n, 3, 3) rotation stack, image paths, Euler views, gimbal flags
+and provenance (_Chunk, from _read_chunk).  record_from_dict is the
 per-record contract, the only source of error messages, and decides any
-chunk that fails or sits near a tolerance.  PoseRecords are built from a
-chunk only when asked for: read_labels builds them all, the CLI only where
-it writes records back out.  So `augment` and `convert` hold one chunk at a
-time, and `eval`, `stats` and `pca` keep only the ids and one (n, 3, 3)
-array per file (_read_stack).
+chunk that fails or sits near a tolerance.  read_labels builds PoseRecords
+from the chunks; write_labels gathers records back into columns, and one
+column encoder (_encode_columns) writes every label file.
+
+The CLI runs its chunks on the fork map (_map_chunks for a label file,
+_map_ranges for spiral's poses): up to one os.fork worker per CPU, each
+reading the file itself and working on every W-th chunk, with the results
+taken back in file order and the first error in file order raised.  The
+workers of `augment`, `convert` and `spiral` return encoded text, those of
+`eval`, `stats`, `pca` and `draw` ids plus an (n, 3, 3) stack; only the
+parent writes.  With one worker the same calls run in-process.
 """
 
 import json
 import math
 import os
+import pickle
 import stat
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from json import JSONEncoder
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
@@ -84,11 +92,20 @@ class PoseRecord:
     provenance: list = field(default_factory=list)
 
 
-def _as_triple(value, what: str, rec_id: str) -> Tuple[float, float, float]:
+def _numbers(value, what: str, rec_id: str) -> list:
+    # value as a list of floats; booleans are not numbers, though float()
+    # takes them
     try:
-        t = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
+        numbers = [float(v) for v in value]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"record {rec_id!r}: bad {what}: {exc}") from None
+    if bool in map(type, value):
+        raise ValidationError(f"record {rec_id!r}: bad {what}: booleans are not numbers")
+    return numbers
+
+
+def _as_triple(value, what: str, rec_id: str) -> Tuple[float, float, float]:
+    t = tuple(_numbers(value, what, rec_id))
     if len(t) != 3 or not all(math.isfinite(v) for v in t):
         raise ValidationError(f"record {rec_id!r}: {what} must be 3 finite numbers")
     return t
@@ -107,25 +124,17 @@ def _check_euler_view(rec_id: str, rotation, matrix, tol: float, what: str) -> N
 _FLAG_TYPES = {bool, type(None)}
 
 
-def _check_provenance(obj: dict, rec_id: str) -> list:
+def _extras(obj: dict, rec_id: str) -> Tuple[Optional[str], list]:
+    # The non-numeric fields, checked once rotation, gimbal flag and views
+    # have passed: the image path (a string, or absent or null) and the
+    # provenance (a list; absent, null or empty means []).
+    image_path = obj.get("image_path")
+    if image_path is not None and not isinstance(image_path, str):
+        raise ValidationError(f"record {rec_id!r}: image_path must be a string or null")
     provenance = obj.get("provenance") or []
     if not isinstance(provenance, list):
         raise ValidationError(f"record {rec_id!r}: provenance must be a list")
-    return provenance
-
-
-def _image_path(obj: dict) -> Optional[str]:
-    image_path = obj.get("image_path")
-    return None if image_path is None else str(image_path)
-
-
-def _finish_record(obj: dict, rec_id: str, rotation, views) -> PoseRecord:
-    # The non-numeric fields, once rotation, gimbal flag and views (one
-    # per _VIEWS entry) have passed.  Positional: keywords cost more.
-    provenance = _check_provenance(obj, rec_id)
-    return PoseRecord(
-        rec_id, rotation, _image_path(obj), *views, bool(obj.get("gimbal")), provenance
-    )
+    return image_path, provenance
 
 
 def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
@@ -136,11 +145,7 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
         raise ParseError(f"{where}: 'id' and 'rotation' are required")
     rec_id = str(obj["id"])
 
-    raw = obj["rotation"]
-    try:
-        flat = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"record {rec_id!r}: bad rotation: {exc}") from None
+    flat = _numbers(obj["rotation"], "rotation", rec_id)
     if len(flat) != 9 or not all(math.isfinite(v) for v in flat):
         raise ValidationError(f"record {rec_id!r}: rotation must be 9 finite numbers")
     rotation = np.array(flat).reshape(3, 3)
@@ -163,39 +168,78 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
             _check_euler_view(rec_id, rotation, composed, tol, field_name)
         views.append(view)
 
-    return _finish_record(obj, rec_id, rotation, views)
+    image_path, provenance = _extras(obj, rec_id)
+    # positional: keywords cost more
+    return PoseRecord(rec_id, rotation, image_path, *views, bool(gimbal), provenance)
 
 
 def record_to_dict(rec: PoseRecord) -> dict:
-    return _record_obj(rec, [float(v) for v in np.asarray(rec.rotation).reshape(9)])
+    return _record_obj(
+        rec.id,
+        [float(v) for v in np.asarray(rec.rotation).reshape(9)],
+        rec.image_path,
+        [getattr(rec, field_name) for field_name, _ in _VIEWS],
+        rec.gimbal,
+        rec.provenance,
+    )
 
 
-def _record_obj(rec: PoseRecord, rotation: list) -> dict:
-    # record_to_dict with the rotation already flattened to 9 floats.
-    obj = {"id": rec.id}
-    if rec.image_path is not None:
-        obj["image_path"] = rec.image_path
+def _record_obj(rec_id, rotation: list, image_path, views, gimbal, provenance) -> dict:
+    # One record's JSON object from its fields, the rotation already
+    # flattened to 9 floats and the views in _VIEWS order.
+    obj = {"id": rec_id}
+    if image_path is not None:
+        obj["image_path"] = image_path
     obj["rotation"] = rotation
-    for field_name, _ in _VIEWS:
-        view = getattr(rec, field_name)
+    for (field_name, _), view in zip(_VIEWS, views):
         if view is not None:
             obj[field_name] = [float(v) for v in view]
-    if rec.gimbal:
+    if gimbal:
         obj["gimbal"] = True
-    if rec.provenance:
-        obj["provenance"] = rec.provenance
+    if provenance:
+        obj["provenance"] = provenance
     return obj
+
+
+def _encode_columns(ids, rows, image_paths=None, views=None, gimbal=None, provenance=None) -> str:
+    """JSON Lines text of records given as columns, one line per id.
+
+    rows holds each rotation as 9 floats and views one column per _VIEWS
+    entry; a column left out is None (or False) for every record.  Each
+    line is json.dumps(record_to_dict(rec), ensure_ascii=False).  The one
+    write loop: write_labels gathers these columns from records, and the
+    CLI passes a chunk's columns straight through.
+    """
+    encode = JSONEncoder(ensure_ascii=False).encode
+    return "".join(
+        encode(_record_obj(*fields)) + "\n"
+        for fields in zip(
+            ids,
+            rows,
+            repeat(None) if image_paths is None else image_paths,
+            repeat(()) if views is None else zip(*views),
+            repeat(False) if gimbal is None else gimbal,
+            repeat(None) if provenance is None else provenance,
+        )
+    )
+
+
+# Element types of a row _float_rows takes in bulk: JSON numbers.  Booleans
+# (which numpy would read as 0 and 1) go to record_from_dict and are refused.
+_NUMBER_TYPES = {float, int}
 
 
 def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
     # rows as an (n, width) float array when every row is `width` finite
-    # JSON numbers, else None.  Strings, nulls and ragged rows are left to
-    # record_from_dict, which owns the error messages.
+    # JSON numbers, else None.  Strings, nulls, booleans and ragged rows are
+    # left to record_from_dict, which owns the error messages.
     try:
+        if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+            return None
         a = np.array(rows)
-    except ValueError:  # ragged rows
+    except (TypeError, ValueError):  # a row that is not a list, ragged rows
         return None
-    if a.dtype.kind not in "biuf" or a.shape != (len(rows), width):
+    if a.dtype.kind not in "iuf" or a.shape != (len(rows), width):
         return None
     a = a.astype(float, copy=False)
     return a if np.isfinite(a).all() else None
@@ -230,13 +274,16 @@ class _Chunk(NamedTuple):
     """Up to CHUNK_RECORDS validated records, as columns.
 
     rotations is one (n, 3, 3) stack; views holds one list per _VIEWS
-    entry, with each record's Euler view as a tuple, or None.
+    entry, with each record's Euler view as a tuple, or None.  The columns
+    are PoseRecord's fields.
     """
 
-    objs: list  # the decoded JSON objects
     ids: List[str]
     rotations: np.ndarray
+    image_paths: list
     views: tuple
+    gimbal: List[bool]
+    provenance: list
 
 
 def _chunk_batched(objs: list) -> Optional[_Chunk]:
@@ -264,11 +311,11 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
         views.append(column)
 
     ids = [str(obj["id"]) for obj in objs]
-    # a non-list provenance raises here, as it would line by line: every
-    # record's numeric checks have passed
-    for obj, rec_id in zip(objs, ids):
-        _check_provenance(obj, rec_id)
-    return _Chunk(objs, ids, rotations, tuple(views))
+    # a bad image path or provenance raises here, as it would line by
+    # line: every record's numeric checks have passed
+    image_paths, provenance = zip(*map(_extras, objs, ids))
+    return _Chunk(ids, rotations, list(image_paths), tuple(views), list(map(bool, flags)),
+                  list(provenance))
 
 
 def _chunk_one_by_one(path, lines, objs) -> _Chunk:
@@ -277,10 +324,12 @@ def _chunk_one_by_one(path, lines, objs) -> _Chunk:
         for (lineno, _), obj in zip(lines, objs)
     ]
     return _Chunk(
-        objs,
         [rec.id for rec in records],
         np.array([rec.rotation for rec in records]).reshape(-1, 3, 3),
+        [rec.image_path for rec in records],
         tuple([getattr(rec, field_name) for rec in records] for field_name, _ in _VIEWS),
+        [rec.gimbal for rec in records],
+        [rec.provenance for rec in records],
     )
 
 
@@ -298,40 +347,201 @@ def _read_chunk(path, lines) -> _Chunk:
     return _chunk_one_by_one(path, lines, objs) if chunk is None else chunk
 
 
+def _line_chunks(path) -> Iterator[list]:
+    """A label file's non-blank lines as (lineno, line) pairs, CHUNK_RECORDS at a time."""
+    lines = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            lines.append((lineno, line))
+            if len(lines) == CHUNK_RECORDS:
+                yield lines
+                lines = []
+    if lines:
+        yield lines
+
+
 def _read_chunks(path) -> Iterator[_Chunk]:
     """Validated chunks of a label file, one CHUNK_RECORDS chunk at a time.
 
     Raises the errors of read_labels, in the same order; a chunk's errors
     surface before it is yielded, so only earlier chunks have been seen.
     """
-    chunk = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            chunk.append((lineno, line))
-            if len(chunk) == CHUNK_RECORDS:
-                yield _read_chunk(path, chunk)
-                chunk = []
-    if chunk:
-        yield _read_chunk(path, chunk)
+    for lines in _line_chunks(path):
+        yield _read_chunk(path, lines)
+
+
+def _workers(chunks: int) -> int:
+    # One worker per CPU this process may run on, at most one per chunk;
+    # 1 (in-process) where os.fork or the affinity mask is missing.
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), chunks))
+
+
+def _send(out, message) -> None:
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    out.write(len(body).to_bytes(8, "little") + body)
+    out.flush()
+
+
+def _receive(reader):
+    # The next message of a worker, or None if it died before sending it whole.
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    body = reader.read(size) if len(head) == 8 else b""
+    return pickle.loads(body) if len(head) == 8 and len(body) == size else None
+
+
+def _serve(fd: int, groups, work, w: int, workers: int) -> None:
+    # A worker's life: it walks all of groups() and, for each group k with
+    # k % workers == w, sends ("ok", work(k, group)); then ("end", None), or
+    # ("err", exc) for the first exception, raised by work or while reading
+    # group k.  It never returns, and runs no exit handlers.
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            k = 0
+            try:
+                for group in groups():
+                    if k % workers == w:
+                        _send(out, ("ok", work(k, group)))
+                    k += 1
+                message = ("end", None)
+            except BaseException as exc:  # noqa: BLE001 - the parent raises it
+                message = ("err", exc)
+            _send(out, message)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(groups, work, workers: int) -> Iterator:
+    """work(k, group) for each k, group in enumerate(groups()), in order.
+
+    With workers > 1 the calls run in that many processes made with
+    os.fork: worker w walks groups() itself and calls work on the groups
+    with k % workers == w, so nothing is sent to it, and a result comes
+    back through a pipe, pickled.  The parent yields the results in order
+    and raises an exception where work or groups() raised it, so the first
+    error in group order wins, with its type and message.  A worker that
+    dies before reporting a group fails the map with ChildProcessError.
+    However the map ends, every worker is killed and reaped.  With one
+    worker the same calls run in-process.
+
+    os.fork, not multiprocessing: a fork starts no interpreter and imports
+    nothing, and work may be any closure.  The CLI runs no Python thread,
+    and OpenBLAS stops its thread pool at a fork by its own atfork handler.
+    A worker never returns into the caller's code: it leaves by os._exit,
+    so it flushes no inherited buffer and runs no exit handler.
+    """
+    if workers == 1:
+        for k, group in enumerate(groups()):
+            yield work(k, group)
+        return
+    pids, readers = [], []
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker
+                try:
+                    os.close(r)
+                    for reader in readers:
+                        reader.close()
+                    _serve(fd, groups, work, w, workers)
+                finally:
+                    os._exit(1)
+            os.close(fd)
+            pids.append(pid)
+            readers.append(os.fdopen(r, "rb"))
+        k = 0
+        while True:
+            w = k % workers
+            message = _receive(readers[w])
+            if message is None:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                pids[w] = None
+                raise ChildProcessError(f"worker {w} exited ({code}) before reporting chunk {k}")
+            tag, payload = message
+            if tag == "err":
+                raise payload
+            if tag == "end":
+                break
+            yield payload
+            k += 1
+        for w, pid in enumerate(pids):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids[w] = None
+            if code:
+                raise ChildProcessError(f"worker {w} exited ({code}) after its last chunk")
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+
+
+def _line_count(path) -> int:
+    # Lines in a regular file, counted by newline; 1 for anything else (a
+    # pipe, a device), which is opened once, by the reader, and read
+    # in-process.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return 1
+    with open(path, "rb") as fh:
+        return 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _map_chunks(path, work) -> Iterator:
+    """work(start, chunk) for each validated chunk of a label file, in file
+    order, where start is the index of the chunk's first record; on the
+    fork map (_fork_map), one worker per CPU, at most one per chunk.
+
+    The errors and their order are those of _read_chunks.
+    """
+    chunks = -(-_line_count(path) // CHUNK_RECORDS)
+    return _fork_map(
+        lambda: _line_chunks(path),
+        lambda k, lines: work(k * CHUNK_RECORDS, _read_chunk(path, lines)),
+        _workers(chunks),
+    )
+
+
+def _map_ranges(count: int, work) -> Iterator:
+    """work(start, stop) for each CHUNK_RECORDS slice of range(count), in
+    order, on the fork map as _map_chunks."""
+    step = CHUNK_RECORDS
+    return _fork_map(
+        lambda: range(0, count, step),
+        lambda k, start: work(start, min(count, start + step)),
+        _workers(-(-count // step)),
+    )
 
 
 def _chunk_records(chunk: _Chunk) -> List[PoseRecord]:
     return [
-        _finish_record(obj, rec_id, rotation, views)
-        for obj, rec_id, rotation, views in zip(
-            chunk.objs, chunk.ids, chunk.rotations, zip(*chunk.views)
+        PoseRecord(rec_id, rotation, image_path, *views, gimbal, provenance)
+        for rec_id, rotation, image_path, gimbal, provenance, *views in zip(
+            chunk.ids, chunk.rotations, chunk.image_paths, chunk.gimbal, chunk.provenance,
+            *chunk.views,
         )
     ]
 
 
 def _read_stack(path) -> Tuple[List[str], np.ndarray]:
-    """A label file's ids and its rotations as one (n, 3, 3) array."""
+    """A label file's ids and its rotations as one (n, 3, 3) array, read
+    on the fork map."""
+
+    def columns(start, chunk):
+        return chunk.ids, chunk.rotations
+
     ids, stacks = [], []
-    for chunk in _read_chunks(path):
-        ids += chunk.ids
-        stacks.append(chunk.rotations)
+    for chunk_ids, rotations in _map_chunks(path, columns):
+        ids += chunk_ids
+        stacks.append(rotations)
     return ids, np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
 
 
@@ -357,21 +567,26 @@ def _flat_rotations(records: list) -> list:
 
 
 def _write_records(fh, records) -> None:
-    encode = JSONEncoder(ensure_ascii=False).encode
     it = iter(records)
     while chunk := list(islice(it, CHUNK_RECORDS)):
-        rows = _flat_rotations(chunk)
-        fh.write("".join(encode(_record_obj(rec, row)) + "\n" for rec, row in zip(chunk, rows)))
+        fh.write(_encode_columns(
+            [rec.id for rec in chunk],
+            _flat_rotations(chunk),
+            [rec.image_path for rec in chunk],
+            [[getattr(rec, field_name) for rec in chunk] for field_name, _ in _VIEWS],
+            [rec.gimbal for rec in chunk],
+            [rec.provenance for rec in chunk],
+        ))
 
 
 def write_labels(records, path) -> None:
     """Write records as JSON Lines (UTF-8, LF), deterministically.
 
     Each line is json.dumps(record_to_dict(rec), ensure_ascii=False).
-    Records are encoded and written CHUNK_RECORDS at a time, so `records`
-    may be a generator that builds them chunk by chunk.  The file is
-    written as _write_file writes it: if anything raises, an existing file
-    at `path` is left untouched.
+    Records are gathered into columns and encoded (_encode_columns) and
+    written CHUNK_RECORDS at a time, so `records` may be a generator that
+    builds them chunk by chunk.  The file is written as _write_file writes
+    it: if anything raises, an existing file at `path` is left untouched.
     """
     _write_file(path, lambda fh: _write_records(fh, records))
 

@@ -20,6 +20,7 @@ from rotkit import (
     rot_z_left,
     rotate_image_label,
 )
+from rotkit.augment import _philox_raw
 
 _T = np.diag([1.0, -1.0, 1.0])
 _FLIP_X = np.diag([-1.0, 1.0, 1.0])
@@ -183,6 +184,21 @@ class TestRandomAugment:
         _, op_a = random_augment(r, math.radians(20), pose_stream(42, 0))
         _, op_b = random_augment(r, math.radians(20), pose_stream(42, 1))
         assert op_a != op_b
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 5, 2**63 - 1, 2**64 - 2])
+    def test_philox_words_match_numpy(self, seed, start):
+        # the batched Philox4x64-10 against numpy's bit generator, keyed as
+        # pose_stream keys it; the key's index word wraps at 2**64
+        for count in range(2, 11):
+            got = _philox_raw(seed, start, 3, count)
+            assert got.dtype == np.uint64 and got.shape == (3, count)
+            for i in range(3):
+                key = seed | ((start + i) % 2**64) << 64
+                want = np.random.Philox(key=key).random_raw(count)
+                assert got[i].tolist() == want.tolist(), (count, i)
+                assert pose_stream(seed, start + i).bit_generator.random_raw(count).tolist() == \
+                    want.tolist()
 
     def test_branch_ratio_and_angle_uniformity(self):
         budget = math.radians(20)

@@ -284,19 +284,36 @@ class TestExitCodes:
         assert main(["stats", "--input", str(src)]) == 0
 
 
-def test_cli_import_leaves_heavy_stdlib_modules_out():
-    # xml.sax.saxutils pulls in urllib.request, http.client and email.*,
-    # statistics pulls in fractions and decimal, and numpy.random pulls in
-    # secrets, hashlib and hmac; every command would otherwise import and,
-    # without a warm bytecode cache, compile them.
-    heavy = ("xml.sax", "urllib.request", "http.client", "email", "statistics",
-             "fractions", "decimal", "numpy.random")
-    code = (
-        "import sys, rotkit.cli; rotkit.cli.build_parser(); "
-        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
-    )
+def _loaded_modules(code, prefixes):
+    """Modules under `prefixes` loaded after running `code` in a fresh interpreter."""
+    code += f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_out():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email.*,
+    # statistics pulls in fractions and decimal, and numpy.random pulls in
+    # secrets, hashlib and hmac; every command would otherwise import and,
+    # without a warm bytecode cache, compile them.  The CLI's workers are
+    # forked with os, not started through multiprocessing.
+    heavy = ("xml.sax", "urllib.request", "http.client", "email", "statistics",
+             "fractions", "decimal", "numpy.random", "multiprocessing")
+    code = "import sys, rotkit.cli; rotkit.cli.build_parser()"
+    assert _loaded_modules(code, heavy) == "[]"
+
+
+def test_random_augment_leaves_numpy_random_out(tmp_path):
+    # the random ops come from Philox in plain uint64 arithmetic
+    src, out = tmp_path / "spiral.jsonl", tmp_path / "out.jsonl"
+    assert main(["spiral", "--count", "5", "--output", str(src)]) == 0
+    code = (
+        "import sys, rotkit.cli; "
+        f"rotkit.cli.main(['augment', '--mode', 'random', '--multiplier', '3', "
+        f"'--input', {str(src)!r}, '--output', {str(out)!r}])"
+    )
+    assert _loaded_modules(code, ("numpy.random", "multiprocessing")) == "[]"
+    assert len(read_labels(out)) == 15

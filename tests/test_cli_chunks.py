@@ -185,16 +185,43 @@ def built_records(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("command", ["eval", "stats", "pca"])
-def test_read_only_commands_build_no_records(files, tmp_path, capsys, built_records, command):
+def _assert_builds_no_records(built_records, files, tmp_path, monkeypatch, argv):
+    # in-process, so that the spy sees every chunk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     pred, truth = files
-    inputs = [str(pred), str(truth)] if command == "eval" else [str(truth)]
-    assert main([command, "--input", *inputs, "--output", str(tmp_path / "out.csv")]) == 0
+    names = {"PRED": str(pred), "TRUTH": str(truth)}
+    argv = [names.get(a, a) for a in argv]
+    out = argv.index("--output") + 1
+    argv[out] = str(tmp_path / argv[out])
+    assert main(argv) == 0
     assert built_records == []
-    # the spy sees the records that writing commands build
-    assert main(["convert", "--input", str(truth), "--output", str(tmp_path / "c.jsonl"),
-                 "--target", "matrix"]) == 0
-    assert len(built_records) == 2 * N
+    # the spy sees the records that the library path builds
+    assert len(read_labels(truth)) == N
+    assert len(built_records) == N
+
+
+@pytest.mark.parametrize("command", ["eval", "stats", "pca"])
+def test_read_only_commands_build_no_records(files, tmp_path, monkeypatch, capsys,
+                                             built_records, command):
+    inputs = ["PRED", "TRUTH"] if command == "eval" else ["TRUTH"]
+    argv = [command, "--input", *inputs, "--output", "out.csv"]
+    _assert_builds_no_records(built_records, files, tmp_path, monkeypatch, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spiral", "--count", str(N), "--output", "out.jsonl"],
+        ["augment", "--input", "TRUTH", "--output", "out.jsonl", "--multiplier", "2"],
+        ["convert", "--input", "TRUTH", "--output", "out.jsonl", "--target", "matrix"],
+        ["convert", "--input", "TRUTH", "--output", "out.jsonl", "--target", "euler_rpy"],
+        ["draw", "--input", "TRUTH", "--output", "svg"],
+    ],
+    ids=["spiral", "augment", "convert-matrix", "convert-rpy", "draw"],
+)
+def test_writing_commands_build_no_records(files, tmp_path, monkeypatch, capsys,
+                                           built_records, argv):
+    _assert_builds_no_records(built_records, files, tmp_path, monkeypatch, argv)
 
 
 class TestStreamedErrors:

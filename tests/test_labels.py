@@ -18,7 +18,7 @@ from rotkit import (
     write_labels,
 )
 from rotkit.augment import pose_stream
-from rotkit.labels import _VIEWS, CHUNK_RECORDS, record_to_dict
+from rotkit.labels import _VIEWS, CHUNK_RECORDS, record_from_dict, record_to_dict
 
 
 def _records(n, seed=0):
@@ -151,6 +151,39 @@ class TestValidation:
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="record 'g': gimbal must be true or false"):
             read_labels(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rotation", [True, False, False, False, True, False, False, False, True]),
+            ("rotation", [1, 0, 0, 0, 1, 0, 0, 0, True]),
+            ("euler_pyr_deg", [False, 0, 0]),
+            ("euler_rpy_deg", [0.0, 0.0, False]),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, field, value):
+        # the identity with zero views: only the booleans are wrong
+        obj = dict({"id": "b", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, **{field: value})
+        want = f"record 'b': bad {field}: booleans are not numbers"
+        with pytest.raises(ValidationError, match=want):
+            record_from_dict(obj)
+        path = tmp_path / "bool.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=want):
+            read_labels(path)
+
+    @pytest.mark.parametrize("value", [{"a": 1}, 7, ["x.png"], True])
+    def test_image_path_must_be_a_string(self, tmp_path, value):
+        obj = {"id": "p", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "image_path": value}
+        want = "record 'p': image_path must be a string or null"
+        with pytest.raises(ValidationError, match=want):
+            record_from_dict(obj)
+        path = tmp_path / "path.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=want):
+            read_labels(path)
+        assert record_from_dict(dict(obj, image_path=None)).image_path is None
+        assert record_from_dict(dict(obj, image_path="a.png")).image_path == "a.png"
 
     def test_null_gimbal_flag_means_false(self, tmp_path):
         r = compose_pyr((0.3, 0.2, 0.1))

@@ -124,6 +124,15 @@ def _rotation(obj):
     return np.array(obj["rotation"]).reshape(3, 3)
 
 
+_IDENTITY = np.eye(3).reshape(9).tolist()
+
+
+def _identity(obj, **view):
+    """obj as the identity rotation with only the given Euler view."""
+    kept = {k: v for k, v in obj.items() if not k.startswith("euler_")}
+    return dict(kept, rotation=_IDENTITY, gimbal=False, **view)
+
+
 # One contract violation each, applied to a valid decoded object.
 DEFECTS = {
     "bad_json": lambda obj: '{"id": "x", "rotation": [1, 0',
@@ -148,6 +157,13 @@ DEFECTS = {
     ),
     "provenance_not_list": lambda obj: dict(obj, provenance={"kind": "rotate"}),
     "gimbal_not_bool": lambda obj: dict(obj, gimbal="false"),
+    # the identity and its zero views, written with JSON booleans
+    "bool_rotation": lambda obj: dict(obj, rotation=[v == 1.0 for v in _IDENTITY]),
+    "bool_pyr_view": lambda obj: _identity(obj, euler_pyr_deg=[False, 0.0, 0.0]),
+    "bool_rpy_view": lambda obj: _identity(obj, euler_rpy_deg=[0.0, 0.0, False]),
+    "image_path_object": lambda obj: dict(obj, image_path={"a": 1}),
+    "image_path_number": lambda obj: dict(obj, image_path=7),
+    "int_past_float": lambda obj: dict(obj, rotation=[10**400] + obj["rotation"][1:]),
 }
 
 
