@@ -44,8 +44,40 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_chunks(path, output, work):
+    """Write the texts of work(start, chunk) -> (text, count, tally) over the
+    chunks of label file `path` (_map_chunks) to `output` (_write_file);
+    return the summed counts and tallies.  An unwritable output is reported
+    before a missing input."""
+    n = tally = 0
+
+    def write(fh):
+        nonlocal n, tally
+        for text, count, chunk_tally in _map_chunks(path, work):
+            fh.write(text)
+            n += count
+            tally += chunk_tally
+
+    _write_file(output, write)
+    return n, tally
+
+
+# A CSV field that has to be quoted (RFC 4180).
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _write_csv(path, header, names, *columns) -> None:
+    """Write a CSV report (_write_file): the header line, then per name a row
+    of the name and its value in each column as repr(float).  A name with
+    a comma, a double quote or a line break is quoted as RFC 4180 says."""
+    if _CSV_SPECIAL.search("".join(names)):
+        names = [
+            '"' + name.replace('"', '""') + '"' if _CSV_SPECIAL.search(name) else name
+            for name in names
+        ]
+    values = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)
+    text = "\n".join([header, *map(",".join, zip(names, *values))]) + "\n"
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def cmd_augment(args) -> int:
@@ -71,7 +103,7 @@ def cmd_augment(args) -> int:
             ids = [f"{rec_id}#a{j}" for rec_id in chunk.ids for j in range(mult)]
         text = _encode_columns(
             ids,
-            rotations.reshape(-1, 9).tolist(),
+            rotations,
             _repeat_rows(chunk.image_paths, mult),
             provenance=[
                 prov + [op.as_dict()] for prov, op in zip(_repeat_rows(chunk.provenance, mult), ops)
@@ -79,16 +111,7 @@ def cmd_augment(args) -> int:
         )
         return text, len(chunk.ids), sum(op.kind == "rotate" for op in ops)
 
-    n = n_rotate = 0
-
-    def write(fh):
-        nonlocal n, n_rotate
-        for text, count, rotate in _map_chunks(args.input, work):
-            fh.write(text)
-            n += count
-            n_rotate += rotate
-
-    _write_file(args.output, write)
+    n, n_rotate = _write_chunks(args.input, args.output, work)
     print(f"augment: {n} records -> {n * mult} ({n_rotate} rotate, {n * mult - n_rotate} flip)")
     return 0
 
@@ -111,26 +134,10 @@ def cmd_convert(args) -> int:
             # np.degrees is math.degrees' x * (180 / pi), value for value
             views[list(_CONVENTIONS).index(convention)] = np.degrees(angles).tolist()
             gimbal = [lock or flag for lock, flag in zip(locked.tolist(), chunk.gimbal)]
-        text = _encode_columns(
-            chunk.ids,
-            chunk.rotations.reshape(-1, 9).tolist(),
-            chunk.image_paths,
-            views,
-            gimbal,
-            chunk.provenance,
-        )
+        text = _encode_columns(*chunk._replace(views=views, gimbal=gimbal))
         return text, len(chunk.ids), sum(gimbal or ())
 
-    n = n_gimbal = 0
-
-    def write(fh):
-        nonlocal n, n_gimbal
-        for text, count, locked in _map_chunks(args.input, work):
-            fh.write(text)
-            n += count
-            n_gimbal += locked
-
-    _write_file(args.output, write)
+    n, n_gimbal = _write_chunks(args.input, args.output, work)
     print(f"convert: {n} records to {args.target} ({n_gimbal} gimbal)")
     return 0
 
@@ -139,10 +146,7 @@ def cmd_eval(args) -> int:
     pred_path, truth_path = args.input
     report = _evaluate_stacks(*_read_stack(pred_path), *_read_stack(truth_path))
     if args.output:
-        text = "id,geodesic_rad\n" + "".join(
-            f"{rec_id},{_fmt(dist)}\n" for rec_id, dist in report.per_record
-        )
-        _write_file(args.output, lambda fh: fh.write(text))
+        _write_csv(args.output, "id,geodesic_rad", *zip(*report.per_record))
     print(
         f"eval: n={len(report.per_record)} mean={report.mean:.12g} "
         f"median={report.median:.12g} max={report.max:.12g} (radians)"
@@ -166,7 +170,7 @@ def cmd_spiral(args) -> int:
     def work(start, stop):
         return _encode_columns(
             [f"spiral_{i:06d}" for i in range(start, stop)],
-            _spiral_rows(spec, start, stop).reshape(-1, 9).tolist(),
+            _spiral_rows(spec, start, stop),
             provenance=[[dict(meta, index=i)] for i in range(start, stop)],
         )
 
@@ -180,11 +184,7 @@ def cmd_pca(args) -> int:
     if len(ids) < 2:
         raise ValidationError("pca needs at least 2 records")
     result = pca_project(rotations.reshape(-1, 9), k=3)
-    text = "id,pc1,pc2,pc3\n" + "".join(
-        f"{rec_id},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}\n"
-        for rec_id, row in zip(ids, result.projected)
-    )
-    _write_file(args.output, lambda fh: fh.write(text))
+    _write_csv(args.output, "id,pc1,pc2,pc3", ids, *result.projected.T)
     ev = result.explained_variance
     print(
         f"pca: {len(ids)} records, explained variance "
@@ -197,15 +197,8 @@ def cmd_stats(args) -> int:
     _, rotations = _read_stack(args.input)
     stats = euler_range_stats(rotations)
     if args.output:
-        text = "angle,min_deg,max_deg\n" + "".join(
-            f"{name},{_fmt(lo)},{_fmt(hi)}\n"
-            for name, (lo, hi) in (
-                ("pitch", stats.pitch_deg),
-                ("yaw", stats.yaw_deg),
-                ("roll", stats.roll_deg),
-            )
-        )
-        _write_file(args.output, lambda fh: fh.write(text))
+        columns = zip(stats.pitch_deg, stats.yaw_deg, stats.roll_deg)
+        _write_csv(args.output, "angle,min_deg,max_deg", ("pitch", "yaw", "roll"), *columns)
     print(
         f"stats: n={stats.count} "
         f"pitch [{stats.pitch_deg[0]:.6g}, {stats.pitch_deg[1]:.6g}] "

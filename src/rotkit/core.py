@@ -127,8 +127,10 @@ def compose_rpy(e) -> np.ndarray:
     return _compose(e, "rpy")
 
 
-def _det3(a: np.ndarray) -> float:
-    m = a.ravel().tolist()
+def _det(m):
+    # Determinant by cofactor expansion along the first row, given the
+    # row-major entries m[0..8]: floats for one matrix, or arrays holding
+    # that entry of each matrix of a stack.
     return (
         m[0] * (m[4] * m[8] - m[5] * m[7])
         - m[1] * (m[3] * m[8] - m[5] * m[6])
@@ -147,7 +149,7 @@ def is_rotation(m, tol: float = ORTHO_TOL) -> bool:
     if a.shape != (3, 3):
         return False
     resid = float(np.abs(a @ a.T - _I3).max())
-    return resid <= tol and abs(_det3(a) - 1.0) <= tol
+    return resid <= tol and abs(_det(a.ravel().tolist()) - 1.0) <= tol
 
 
 def require_rotation(m, tol: float = ORTHO_TOL, what: str = "input") -> np.ndarray:
@@ -201,20 +203,10 @@ def _geodesic_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(np.sqrt(s2), np.sqrt(np.maximum(0.0, c2)))
 
 
-def _det3_batch(a: np.ndarray) -> np.ndarray:
-    # Same cofactor expansion, term for term, as _det3.
-    m = a.reshape(-1, 9).T
-    return (
-        m[0] * (m[4] * m[8] - m[5] * m[7])
-        - m[1] * (m[3] * m[8] - m[5] * m[6])
-        + m[2] * (m[3] * m[7] - m[4] * m[6])
-    )
-
-
 def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:
     """Boolean mask over an (n, 3, 3) float stack: is_rotation on each matrix."""
     resid = np.abs(a @ a.swapaxes(1, 2) - _I3).max(axis=(1, 2), initial=0.0)
-    return (resid <= tol) & (np.abs(_det3_batch(a) - 1.0) <= tol)
+    return (resid <= tol) & (np.abs(_det(a.reshape(-1, 9).T) - 1.0) <= tol)
 
 
 def _all_rotations(a: np.ndarray, tol: float = ORTHO_TOL) -> bool:

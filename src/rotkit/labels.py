@@ -2,14 +2,15 @@
 
 One record per line:
 
-    {"id": str, "image_path"?: str, "rotation": [9 floats, row-major],
+    {"id": str | int, "image_path"?: str, "rotation": [9 floats, row-major],
      "euler_pyr_deg"?: [pitch, yaw, roll], "euler_rpy_deg"?: [roll, pitch, yaw],
      "gimbal"?: bool, "provenance"?: [op descriptors]}
 
-The matrix is the source of truth; Euler fields are advisory views in
-degrees, checked against the matrix on read.  Floats are serialized with
-shortest round-trip decimals, so write-then-read reproduces rotations
-bit-exactly.
+An integer id is read as its decimal string; an id of any other type is
+refused.  The matrix is the source of truth; Euler fields are advisory
+views in degrees, checked against the matrix on read.  Floats are
+serialized with shortest round-trip decimals, so write-then-read
+reproduces rotations bit-exactly.
 
 Files are read CHUNK_RECORDS lines at a time.  Each chunk is decoded line
 by line and validated with batched kernels, and comes out as columns: its
@@ -17,8 +18,10 @@ ids, one (n, 3, 3) rotation stack, image paths, Euler views, gimbal flags
 and provenance (_Chunk, from _read_chunk).  record_from_dict is the
 per-record contract, the only source of error messages, and decides any
 chunk that fails or sits near a tolerance.  read_labels builds PoseRecords
-from the chunks; write_labels gathers records back into columns, and one
-column encoder (_encode_columns) writes every label file.
+from the chunks.  _columns is the one gather of PoseRecords into a _Chunk,
+used by the record-by-record reader and by write_labels, and one column
+encoder (_encode_columns), which takes a chunk's fields, writes every
+label file.
 
 The CLI runs its chunks on the fork map (_map_chunks for a label file,
 _map_ranges for spiral's poses): up to one os.fork worker per CPU, each
@@ -122,6 +125,8 @@ def _check_euler_view(rec_id: str, rotation, matrix, tol: float, what: str) -> N
 
 # Types of a valid gimbal flag: JSON true or false; absent or null means false.
 _FLAG_TYPES = {bool, type(None)}
+# Types of a valid id, compared by type(): bool, a subclass of int, is refused.
+_ID_TYPES = {str, int}
 
 
 def _extras(obj: dict, rec_id: str) -> Tuple[Optional[str], list]:
@@ -143,6 +148,8 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
         raise ParseError(f"{where}: expected a JSON object")
     if "id" not in obj or "rotation" not in obj:
         raise ParseError(f"{where}: 'id' and 'rotation' are required")
+    if type(obj["id"]) not in _ID_TYPES:
+        raise ParseError(f"{where}: 'id' must be a string or an integer")
     rec_id = str(obj["id"])
 
     flat = _numbers(obj["rotation"], "rotation", rec_id)
@@ -201,21 +208,24 @@ def _record_obj(rec_id, rotation: list, image_path, views, gimbal, provenance) -
     return obj
 
 
-def _encode_columns(ids, rows, image_paths=None, views=None, gimbal=None, provenance=None) -> str:
-    """JSON Lines text of records given as columns, one line per id.
+def _encode_columns(
+    ids, rotations, image_paths=None, views=None, gimbal=None, provenance=None
+) -> str:
+    """JSON Lines text of records given as a chunk's columns (_Chunk's
+    fields, in its order), one line per id.
 
-    rows holds each rotation as 9 floats and views one column per _VIEWS
-    entry; a column left out is None (or False) for every record.  Each
-    line is json.dumps(record_to_dict(rec), ensure_ascii=False).  The one
-    write loop: write_labels gathers these columns from records, and the
-    CLI passes a chunk's columns straight through.
+    rotations is an (n, 3, 3) stack and views one column per _VIEWS entry;
+    a column left out is None (or False) for every record.  Each line is
+    json.dumps(record_to_dict(rec), ensure_ascii=False).  The one write
+    loop: write_labels gathers records into chunks (_columns), and the CLI
+    passes its chunks' columns straight through.
     """
     encode = JSONEncoder(ensure_ascii=False).encode
     return "".join(
         encode(_record_obj(*fields)) + "\n"
         for fields in zip(
             ids,
-            rows,
+            rotations.reshape(-1, 9).tolist(),
             repeat(None) if image_paths is None else image_paths,
             repeat(()) if views is None else zip(*views),
             repeat(False) if gimbal is None else gimbal,
@@ -295,9 +305,12 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
     for obj in objs:
         if not isinstance(obj, dict) or "id" not in obj or "rotation" not in obj:
             return None
+    ids = [obj["id"] for obj in objs]
     flags = [obj.get("gimbal") for obj in objs]
+    if not (set(map(type, ids)) <= _ID_TYPES and set(map(type, flags)) <= _FLAG_TYPES):
+        return None
     flat = _float_rows([obj["rotation"] for obj in objs], 9)
-    if flat is None or not set(map(type, flags)) <= _FLAG_TYPES:
+    if flat is None:
         return None
     rotations = flat.reshape(-1, 3, 3)
     if not _all_rotations(rotations, FILE_ORTHO_TOL):
@@ -310,7 +323,7 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
             return None
         views.append(column)
 
-    ids = [str(obj["id"]) for obj in objs]
+    ids = list(map(str, ids))
     # a bad image path or provenance raises here, as it would line by
     # line: every record's numeric checks have passed
     image_paths, provenance = zip(*map(_extras, objs, ids))
@@ -318,19 +331,29 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
                   list(provenance))
 
 
-def _chunk_one_by_one(path, lines, objs) -> _Chunk:
-    records = [
-        record_from_dict(obj, where=f"{path}:{lineno}")
-        for (lineno, _), obj in zip(lines, objs)
-    ]
+def _columns(records: list) -> _Chunk:
+    """PoseRecords as a chunk's columns.  Each rotation may be (3, 3) or
+    flat; one of another size raises ValueError, as in record_to_dict."""
+    try:
+        rotations = np.array([rec.rotation for rec in records], dtype=float)
+        rotations = rotations.reshape(len(records), 3, 3)
+    except ValueError:  # ragged shapes: reshape record by record
+        rotations = np.array([np.reshape(rec.rotation, (3, 3)) for rec in records], dtype=float)
     return _Chunk(
         [rec.id for rec in records],
-        np.array([rec.rotation for rec in records]).reshape(-1, 3, 3),
+        rotations,
         [rec.image_path for rec in records],
         tuple([getattr(rec, field_name) for rec in records] for field_name, _ in _VIEWS),
         [rec.gimbal for rec in records],
         [rec.provenance for rec in records],
     )
+
+
+def _chunk_one_by_one(path, lines, objs) -> _Chunk:
+    return _columns([
+        record_from_dict(obj, where=f"{path}:{lineno}")
+        for (lineno, _), obj in zip(lines, objs)
+    ])
 
 
 def _read_chunk(path, lines) -> _Chunk:
@@ -556,35 +579,18 @@ def read_labels(path) -> List[PoseRecord]:
     return [rec for chunk in _read_chunks(path) for rec in _chunk_records(chunk)]
 
 
-def _flat_rotations(records: list) -> list:
-    # Each record's rotation as 9 floats, with one tolist() for the chunk.
-    try:
-        return np.array([rec.rotation for rec in records], dtype=float).reshape(
-            len(records), 9
-        ).tolist()
-    except ValueError:  # ragged shapes: record_to_dict's route, record by record
-        return [np.asarray(rec.rotation, dtype=float).reshape(9).tolist() for rec in records]
-
-
 def _write_records(fh, records) -> None:
     it = iter(records)
     while chunk := list(islice(it, CHUNK_RECORDS)):
-        fh.write(_encode_columns(
-            [rec.id for rec in chunk],
-            _flat_rotations(chunk),
-            [rec.image_path for rec in chunk],
-            [[getattr(rec, field_name) for rec in chunk] for field_name, _ in _VIEWS],
-            [rec.gimbal for rec in chunk],
-            [rec.provenance for rec in chunk],
-        ))
+        fh.write(_encode_columns(*_columns(chunk)))
 
 
 def write_labels(records, path) -> None:
     """Write records as JSON Lines (UTF-8, LF), deterministically.
 
     Each line is json.dumps(record_to_dict(rec), ensure_ascii=False).
-    Records are gathered into columns and encoded (_encode_columns) and
-    written CHUNK_RECORDS at a time, so `records` may be a generator that
+    Records are gathered into chunks (_columns), encoded (_encode_columns)
+    and written CHUNK_RECORDS at a time, so `records` may be a generator that
     builds them chunk by chunk.  The file is written as _write_file writes
     it: if anything raises, an existing file at `path` is left untouched.
     """

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from rotkit import (
 )
 from rotkit.augment import pose_stream
 from rotkit.cli import main
+from rotkit.coverage import pca_project
 
 
 def _write(tmp_path, name, records):
@@ -174,6 +176,49 @@ class TestEvalCommand:
         gt = _write(tmp_path, "gt.jsonl", _sample_records(3, seed=7))
         pred = _write(tmp_path, "pred.jsonl", _sample_records(2, seed=7))
         assert main(["eval", "--input", str(pred), str(gt)]) == 1
+
+
+# ids that a CSV field must quote, and plain ones around them
+_CSV_IDS = ["a,b", 'say "hi"', "line\nbreak", "cr\rlf\r\n", '"', "", "plain", "ünï"]
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvIds:
+    """CSV reports quote the ids that need it (RFC 4180), so every id
+    reads back whole, and write every value as repr(float)."""
+
+    @pytest.fixture
+    def ids_file(self, tmp_path):
+        rng = pose_stream(9)
+        records = [PoseRecord(id=rec_id, rotation=random_rotation(rng)) for rec_id in _CSV_IDS]
+        return _write(tmp_path, "ids.jsonl", records)
+
+    def test_eval(self, tmp_path, ids_file):
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--input", str(ids_file), str(ids_file), "--output", str(out)]) == 0
+        assert _read_csv(out) == [["id", "geodesic_rad"]] + [[i, "0.0"] for i in _CSV_IDS]
+
+    def test_pca(self, tmp_path, ids_file):
+        out = tmp_path / "pca.csv"
+        assert main(["pca", "--input", str(ids_file), "--output", str(out)]) == 0
+        stack = np.array([rec.rotation for rec in read_labels(ids_file)])
+        projected = pca_project(stack.reshape(-1, 9), k=3).projected.tolist()
+        assert _read_csv(out) == [["id", "pc1", "pc2", "pc3"]] + [
+            [i, *map(repr, row)] for i, row in zip(_CSV_IDS, projected)
+        ]
+
+    def test_plain_ids_keep_their_bytes(self, tmp_path):
+        ids = ["s0", "x y", "it's", "tab\there", "ünï"]
+        labels = _write(tmp_path, "plain.jsonl", [PoseRecord(i, np.eye(3)) for i in ids])
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--input", str(labels), str(labels), "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "id,geodesic_rad\n" + "".join(
+            f"{i},0.0\n" for i in ids
+        )
 
 
 class TestSpiralStatsPcaCommands:

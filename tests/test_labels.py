@@ -92,6 +92,22 @@ class TestValidation:
         with pytest.raises(ParseError):
             read_labels(path)
 
+    @pytest.mark.parametrize("rec_id", [None, True, False, 1.5, [1, 2], {"a": 1}])
+    def test_id_of_another_type_rejected(self, tmp_path, rec_id):
+        path = tmp_path / "id.jsonl"
+        good = '{"id": "a", "rotation": [1,0,0,0,1,0,0,0,1]}\n'
+        bad = json.dumps({"id": rec_id, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]})
+        path.write_text(good + bad + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert str(err.value) == f"{path}:2: 'id' must be a string or an integer"
+
+    def test_integer_id_read_as_decimal_string(self, tmp_path):
+        path = tmp_path / "int.jsonl"
+        path.write_text('{"id": -7, "rotation": [1,0,0,0,1,0,0,0,1]}\n', encoding="utf-8")
+        (rec,) = read_labels(path)
+        assert rec.id == "-7"
+
     def test_non_rotation_matrix_rejected(self, tmp_path):
         path = tmp_path / "notrot.jsonl"
         path.write_text('{"id": "a", "rotation": [2,0,0,0,2,0,0,0,2]}\n', encoding="utf-8")
@@ -236,6 +252,16 @@ class TestWrite:
         write_labels(iter(records), path)
         want = "".join(json.dumps(record_to_dict(r), ensure_ascii=False) + "\n" for r in records)
         assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("shapes", [[(8,)] * 9, [(8,)] + [(3, 3)] * 8])
+    def test_rotation_of_another_size_raises(self, tmp_path, shapes):
+        # nine rotations of 8 numbers hold 72 numbers, as many as 8 matrices
+        records = _records(len(shapes))
+        for rec, shape in zip(records, shapes):
+            rec.rotation = np.zeros(shape)
+        with pytest.raises(ValueError):
+            write_labels(records, tmp_path / "out.jsonl")
+        assert os.listdir(tmp_path) == []
 
     def test_failed_write_leaves_old_file(self, tmp_path):
         path = tmp_path / "out.jsonl"

@@ -16,6 +16,7 @@ from rotkit import (
     random_rotation,
     read_labels,
     rot_z_left,
+    write_labels,
 )
 from rotkit import labels
 from rotkit.augment import pose_stream
@@ -164,6 +165,10 @@ DEFECTS = {
     "image_path_object": lambda obj: dict(obj, image_path={"a": 1}),
     "image_path_number": lambda obj: dict(obj, image_path=7),
     "int_past_float": lambda obj: dict(obj, rotation=[10**400] + obj["rotation"][1:]),
+    "id_null": lambda obj: dict(obj, id=None),
+    "id_bool": lambda obj: dict(obj, id=True),
+    "id_float": lambda obj: dict(obj, id=1.5),
+    "id_list": lambda obj: dict(obj, id=[1, 2]),
 }
 
 
@@ -190,6 +195,18 @@ class TestValidFiles:
         _write(path, lines)
         assert _outcome(read_labels, path) == _outcome(_scalar_read, path)
         assert f":{3 * (CHUNK + 2) + 1}:" in _outcome(read_labels, path)[1]
+
+    def test_chunks_encode_as_write_labels(self, tmp_path):
+        # the column encoder takes the reader's chunks as they come
+        path = _write(tmp_path / "ok.jsonl", _objects(labels.CHUNK_RECORDS + 7, seed=12))
+        chunks = list(labels._read_chunks(path))
+        assert len(chunks) == 2
+        text = "".join(labels._encode_columns(*chunk) for chunk in chunks)
+        for field in ("image_path", "euler_pyr_deg", "euler_rpy_deg", "gimbal", "provenance"):
+            assert f'"{field}": ' in text
+        out = tmp_path / "out.jsonl"
+        write_labels(read_labels(path), out)
+        assert text.encode("utf-8") == out.read_bytes()
 
     def test_rotations_are_rows_of_one_array(self, tmp_path, small_chunks):
         path = _write(tmp_path / "ok.jsonl", _objects(CHUNK, seed=5))
