@@ -7,24 +7,27 @@ Both transforms are supplied together with the matching pixel-coordinate
 maps so labels and pixels stay consistent, plus the randomized policy used
 for training-time augmentation (half image rotations within +/-budget,
 half flips across a near-vertical mirror line in [pi/2 - budget, pi/2]).
+
+AugmentOp and the functions above are the scalar API.  The batch path
+(_augment_rows) carries a chunk's ops as two columns, a rotate mask and
+the angles, through one image-op kernel, _image_rows, and builds no
+AugmentOp.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import _require_rotations, require_rotation
+from .core import _HALF_PI, _NEG_Y, _require_rotations, require_rotation
 
-_HALF_PI = math.pi / 2
 _U64 = (1 << 64) - 1
 
 # Intrinsic X-axis flip: the second factor of every label flip, and the
 # left factor of the horizontal mirror (vertical mirror line).
 _FLIP_X = np.diag([-1.0, 1.0, 1.0])
 _NEG_XY = np.diag([-1.0, -1.0, 1.0])
-_MIRROR_HORIZONTAL = np.diag([1.0, -1.0, 1.0])
 _SWAP_XY = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 COROLLARY_CASES = ("horizontal", "vertical", "both_axes", "diagonal", "rot45")
@@ -97,7 +100,7 @@ def corollary_case(r, case: str) -> np.ndarray:
     if case == "horizontal":
         return _FLIP_X @ a @ _FLIP_X
     if case == "vertical":
-        return _MIRROR_HORIZONTAL @ a @ _FLIP_X
+        return _NEG_Y @ a @ _FLIP_X
     if case == "both_axes":
         return _NEG_XY @ a
     if case == "diagonal":
@@ -151,31 +154,27 @@ def pose_stream(seed: int, index: int = 0) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rotate_rows(a: np.ndarray, phis: list) -> np.ndarray:
-    """rotate_image_label on each row of an (n, 3, 3) stack, row i by phis[i].
+def _image_rows(a: np.ndarray, rotate: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """One image op on each row of an (n, 3, 3) stack: rotate_image_label
+    by angles[i] where rotate[i], else flip_image_label across L_angles[i].
 
-    No SO(3) check.  The image rotations are built from math.cos/math.sin
-    and applied with one stacked product, so rows match the scalar
-    function byte for byte.
+    No SO(3) check.  The image matrices are built from math.cos/math.sin
+    and applied with one stacked product, then the flipped rows are
+    right-multiplied by _FLIP_X, so rows match the scalar functions byte
+    for byte.
     """
+    # the plane angle of each image matrix: phi, or 2 theta for a flip
+    phis = np.where(rotate, angles, 2.0 * angles).tolist()
     c = np.array(list(map(math.cos, phis)))
     s = np.array(list(map(math.sin, phis)))
     m = np.zeros((len(phis), 9))
-    m[:, 0], m[:, 1], m[:, 3], m[:, 4], m[:, 8] = c, -s, s, c, 1.0
-    return m.reshape(-1, 3, 3) @ a
-
-
-def _flip_rows(a: np.ndarray, thetas: list) -> np.ndarray:
-    """flip_image_label on each row of an (n, 3, 3) stack, row i across L_thetas[i].
-
-    No SO(3) check; byte for byte the scalar function (see _rotate_rows).
-    """
-    doubled = [2.0 * t for t in thetas]
-    c = np.array(list(map(math.cos, doubled)))
-    s = np.array(list(map(math.sin, doubled)))
-    m = np.zeros((len(thetas), 9))
-    m[:, 0], m[:, 1], m[:, 3], m[:, 4], m[:, 8] = c, s, s, -c, 1.0
-    return m.reshape(-1, 3, 3) @ a @ _FLIP_X
+    m[:, 0], m[:, 3], m[:, 8] = c, s, 1.0
+    m[:, 1] = np.where(rotate, -s, s)
+    m[:, 4] = np.where(rotate, c, -c)
+    out = m.reshape(-1, 3, 3) @ a
+    flip = ~rotate
+    out[flip] = out[flip] @ _FLIP_X
+    return out
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
@@ -218,21 +217,19 @@ def _philox_raw(seed: int, start: int, n: int, count: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(n, 4 * blocks)[:, :count]
 
 
-def _random_ops(budget: float, seed: int, start: int, n: int, multiplier: int) -> List[AugmentOp]:
+def _random_ops(
+    budget: float, seed: int, start: int, n: int, multiplier: int
+) -> Tuple[np.ndarray, np.ndarray]:
     # The ops random_augment draws for records start..start+n-1, `multiplier`
-    # per record from pose_stream(seed, index), in record-major order.  Each
-    # draw is Generator.random's (raw >> 11) * 2**-53, scaled as
-    # Generator.uniform does.
+    # per record from pose_stream(seed, index), in record-major order, as a
+    # rotate mask and the angles.  Each draw is Generator.random's
+    # (raw >> 11) * 2**-53, scaled as Generator.uniform does.
     raws = _philox_raw(int(seed) & _U64, start, n, 2 * multiplier)
-    u = ((raws >> np.uint64(11)).astype(float) * 2.0**-53).reshape(-1, 2).tolist()
+    branch, v = ((raws >> np.uint64(11)).astype(float) * 2.0**-53).reshape(-1, 2).T
     rotate_lo, flip_lo = -budget, _HALF_PI - budget
     rotate_span, flip_span = budget - rotate_lo, _HALF_PI - flip_lo
-    return [
-        AugmentOp("rotate", rotate_lo + rotate_span * v)
-        if b < 0.5
-        else AugmentOp("flip", flip_lo + flip_span * v)
-        for b, v in u
-    ]
+    rotate = branch < 0.5
+    return rotate, np.where(rotate, rotate_lo + rotate_span * v, flip_lo + flip_span * v)
 
 
 def _augment_rows(
@@ -242,31 +239,27 @@ def _augment_rows(
     seed: int,
     start: int,
     multiplier: int,
-) -> Tuple[np.ndarray, List[AugmentOp]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Augment each row of an (n, 3, 3) stack `multiplier` times.
 
     With op given, every output is apply_augment(row, op); otherwise the
     outputs of row i are random_augment(row, budget, pose_stream(seed,
     start + i)), drawn in order.  Returns the (n * multiplier, 3, 3) stack
-    and the ops, in record-major order, byte for byte those of the scalar
-    functions, which also raise the same errors first.
+    and its ops as columns, in record-major order: a bool mask, true for
+    a rotation, and the angles in radians.  Rows and ops are byte for
+    byte those of the scalar functions, which also raise the same errors
+    first.
     """
     if op is None:
         # random_augment checks its rotation before the budget
         _require_rotations(a[:1])
         budget = _check_budget(budget)
-        ops = _random_ops(budget, seed, start, len(a), multiplier)
+        rotate, angles = _random_ops(budget, seed, start, len(a), multiplier)
     else:
-        ops = [op] * (len(a) * multiplier)
+        n = len(a) * multiplier
+        rotate, angles = np.full(n, op.kind == "rotate"), np.full(n, op.angle)
     rows = np.repeat(_require_rotations(a), multiplier, axis=0)
-    out = np.empty_like(rows)
-    kinds = np.array([o.kind == "rotate" for o in ops], dtype=bool)
-    angles = [o.angle for o in ops]
-    rot = np.flatnonzero(kinds)
-    flip = np.flatnonzero(~kinds)
-    out[rot] = _rotate_rows(rows[rot], [angles[k] for k in rot.tolist()])
-    out[flip] = _flip_rows(rows[flip], [angles[k] for k in flip.tolist()])
-    return out, ops
+    return _image_rows(rows, rotate, angles), rotate, angles
 
 
 def map_pixel(op: AugmentOp, pt, width: float, height: float) -> PixelPoint:

@@ -96,20 +96,21 @@ def cmd_augment(args) -> int:
 
     def work(start, chunk):
         # one input chunk: its augmented lines and its count of rotations
-        rotations, ops = _augment_rows(chunk.rotations, fixed_op, budget, seed, start, mult)
+        stack, rotate, angles = _augment_rows(chunk.rotations, fixed_op, budget, seed, start, mult)
         if mult == 1:
             ids = chunk.ids
         else:
             ids = [f"{rec_id}#a{j}" for rec_id in chunk.ids for j in range(mult)]
+        # AugmentOp.as_dict of each op; np.degrees is math.degrees, value for value
+        ops = zip(rotate.tolist(), np.degrees(angles).tolist())
+        provenance = [
+            prov + [{"kind": "rotate" if r else "flip", "angle_deg": deg}]
+            for prov, (r, deg) in zip(_repeat_rows(chunk.provenance, mult), ops)
+        ]
         text = _encode_columns(
-            ids,
-            rotations,
-            _repeat_rows(chunk.image_paths, mult),
-            provenance=[
-                prov + [op.as_dict()] for prov, op in zip(_repeat_rows(chunk.provenance, mult), ops)
-            ],
+            ids, stack, _repeat_rows(chunk.image_paths, mult), provenance=provenance
         )
-        return text, len(chunk.ids), sum(op.kind == "rotate" for op in ops)
+        return text, len(chunk.ids), int(rotate.sum())
 
     n, n_rotate = _write_chunks(args.input, args.output, work)
     print(f"augment: {n} records -> {n * mult} ({n_rotate} rotate, {n * mult - n_rotate} flip)")

@@ -16,8 +16,12 @@ import numpy as np
 # accumulation of chained products, well below any meaningful angle.
 ORTHO_TOL = 1e-9
 
+_HALF_PI = math.pi / 2
 _TWO_PI = 2.0 * math.pi
 _I3 = np.eye(3)
+# Negates y: the mirror across the image's horizontal axis, and the
+# world-to-screen axis change of the drawing, which is its own inverse.
+_NEG_Y = np.diag([1.0, -1.0, 1.0])
 
 
 class EulerPYR(NamedTuple):

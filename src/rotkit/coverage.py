@@ -14,12 +14,11 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .augment import _augment_rows
-from .core import _compose_rows, _quat_to_matrix, wrap_angle
+from .core import _HALF_PI, _compose_rows, _quat_to_matrix, wrap_angle
 from .eigen import symmetric_eigh
 from .euler import _euler_rows
 from .labels import CHUNK_RECORDS
 
-_HALF_PI = math.pi / 2
 # Keep spiral yaws clear of the Gimbal band so canonical rolls are exactly 0.
 _YAW_CAP = _HALF_PI - 1e-3
 
@@ -91,8 +90,7 @@ def densify_rolls(
     out = []
     for start in range(0, len(poses), CHUNK_RECORDS):
         stack = np.array(poses[start:start + CHUNK_RECORDS], dtype=float)
-        rotations, _ = _augment_rows(stack, None, budget, seed, start, multiplier)
-        out.extend(rotations)
+        out.extend(_augment_rows(stack, None, budget, seed, start, multiplier)[0])
     return out
 
 

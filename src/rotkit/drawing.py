@@ -14,9 +14,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _require_rotations, require_rotation
-
-_T_W = np.diag([1.0, -1.0, 1.0])
+from .core import _NEG_Y, _require_rotations, require_rotation
 
 AXIS_COLORS = ("#FF0000", "#00FF00", "#0000FF")
 
@@ -53,7 +51,7 @@ def project_axes(r) -> AxisProjection:
     representations still draw identically.
     """
     a = require_rotation(r)
-    d = _T_W @ a @ _T_W  # T is its own inverse
+    d = _NEG_Y @ a @ _NEG_Y  # T is its own inverse
     return AxisProjection(d[:2, 0].copy(), d[:2, 1].copy(), d[:2, 2].copy())
 
 
@@ -101,7 +99,7 @@ def _segments_rows(a: np.ndarray, spec: DrawSpec) -> List[List[Segment]]:
     conjugation by T; endpoints are center + size * axis, the same two
     roundings as segments, so they match it byte for byte.
     """
-    d = _T_W @ _require_rotations(a) @ _T_W
+    d = _NEG_Y @ _require_rotations(a) @ _NEG_Y
     cx, cy, size = float(spec.center[0]), float(spec.center[1]), float(spec.size)
     xs = (cx + size * d[:, 0, :]).tolist()
     ys = (cy + size * d[:, 1, :]).tolist()

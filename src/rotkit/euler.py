@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (
     _CONVENTIONS,
+    _HALF_PI,
     EulerPYR,
     EulerRPY,
     _require_rotations,
@@ -46,8 +47,6 @@ from .core import (
 # to catch near-lock labels seen in 300W-LP; either branch reconstructs
 # accurately inside the transition band.
 GIMBAL_EPS = 1e-4
-
-_HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import _geodesic_batch
-from .labels import FILE_ORTHO_TOL, PoseRecord, ValidationError
+from .labels import FILE_ORTHO_TOL, PoseRecord, ValidationError, _columns
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,5 @@ def mean_geodesic_error(
     The id sets must match exactly; silent intersection would corrupt
     benchmark numbers, so any mismatch is a hard error listing the ids.
     """
-    truth = list(ground_truth)
-    pred_ids = [rec.id for rec in predictions]
-    rows = _truth_rows(pred_ids, [rec.id for rec in truth])
-    return _report(
-        pred_ids,
-        np.stack([rec.rotation for rec in predictions]),
-        np.stack([truth[row].rotation for row in rows]),
-    )
+    pred, truth = _columns(list(predictions)), _columns(list(ground_truth))
+    return _evaluate_stacks(pred.ids, pred.rotations, truth.ids, truth.rotations)

@@ -363,9 +363,13 @@ def _read_chunk(path, lines) -> _Chunk:
     for lineno, line in lines:
         try:
             objs.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        # besides JSONDecodeError, the decoder raises ValueError for an
+        # integer of more than sys.get_int_max_str_digits() digits and
+        # RecursionError for arrays or objects nested too deep
+        except (ValueError, RecursionError) as exc:
             _chunk_one_by_one(path, lines, objs)
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {msg}") from None
     chunk = _chunk_batched(objs)
     return _chunk_one_by_one(path, lines, objs) if chunk is None else chunk
 

@@ -43,7 +43,7 @@ from rotkit import (
     rotate_image_label,
     segments,
 )
-from rotkit.augment import _augment_rows, _flip_rows, _rotate_rows
+from rotkit.augment import _augment_rows, _image_rows
 from rotkit.cli import main
 from rotkit.core import _compose_rows
 from rotkit.coverage import _spiral_rows, _triangle_yaw
@@ -84,6 +84,7 @@ axis_aligned = st.sampled_from(AXIS_ALIGNED + AXIS_ALIGNED_NEG0)
 stacks = st.lists(st.one_of(haar, pyr_band, rpy_band, axis_aligned), min_size=1, max_size=24).map(
     np.array
 )
+masks = st.lists(st.booleans(), min_size=24, max_size=24)
 ANGLE_ROWS = st.lists(
     st.tuples(
         st.one_of(angles, st.sampled_from((0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi))),
@@ -102,6 +103,15 @@ def _same_rows(stack, expected):
     assert len(stack) == len(expected)
     for got, want in zip(stack, expected):
         assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _same_ops(rotate, angles, ops):
+    # op columns against AugmentOps: the kinds, the angles, and the degrees
+    # that AugmentOp.as_dict writes to provenance, byte for byte
+    assert rotate.dtype == bool
+    assert rotate.tolist() == [op.kind == "rotate" for op in ops]
+    _same_rows(angles, [op.angle for op in ops])
+    _same_rows(np.degrees(angles), [op.as_dict()["angle_deg"] for op in ops])
 
 
 def _scalar_random(stack, budget, seed, start, multiplier):
@@ -124,11 +134,17 @@ class TestKernels:
         _same_rows(_compose_rows(a, "rpy"), [compose_rpy(e) for e in rows])
 
     @kernel_settings
-    @given(stacks, st.lists(angles, min_size=24, max_size=24))
-    def test_rotate_and_flip(self, stack, phis):
-        phis = phis[: len(stack)]
-        _same_rows(_rotate_rows(stack, phis), [rotate_image_label(r, p) for r, p in zip(stack, phis)])
-        _same_rows(_flip_rows(stack, phis), [flip_image_label(r, p) for r, p in zip(stack, phis)])
+    @given(stacks, st.lists(angles, min_size=24, max_size=24), masks)
+    def test_rotate_and_flip(self, stack, phis, mask):
+        n = len(stack)
+        phis, mask = np.array(phis[:n]), np.array(mask[:n])
+        rotations = _image_rows(stack, np.ones(n, dtype=bool), phis)
+        _same_rows(rotations, [rotate_image_label(r, p) for r, p in zip(stack, phis)])
+        flips = _image_rows(stack, np.zeros(n, dtype=bool), phis)
+        _same_rows(flips, [flip_image_label(r, p) for r, p in zip(stack, phis)])
+        ops = [AugmentOp("rotate" if m else "flip", p) for m, p in zip(mask.tolist(), phis)]
+        mixed = _image_rows(stack, mask, phis)
+        _same_rows(mixed, [apply_augment(r, op) for r, op in zip(stack, ops)])
 
     @kernel_settings
     @given(
@@ -139,10 +155,10 @@ class TestKernels:
         st.integers(1, 3),
     )
     def test_random_augment(self, stack, budget, seed, start, multiplier):
-        got, ops = _augment_rows(stack, None, budget, seed, start, multiplier)
+        got, rotate, op_angles = _augment_rows(stack, None, budget, seed, start, multiplier)
         want, want_ops = _scalar_random(stack, budget, seed, start, multiplier)
         _same_rows(got, want)
-        assert ops == want_ops
+        _same_ops(rotate, op_angles, want_ops)
 
     def test_random_augment_error_order(self):
         # random_augment checks a record's rotation before the budget, and
@@ -160,9 +176,9 @@ class TestKernels:
     @given(stacks, st.sampled_from(("rotate", "flip")), angles)
     def test_fixed_augment(self, stack, kind, angle):
         op = AugmentOp(kind, angle)
-        got, ops = _augment_rows(stack, op, 0.0, 0, 0, 2)
+        got, rotate, op_angles = _augment_rows(stack, op, 0.0, 0, 0, 2)
         _same_rows(got, [apply_augment(r, op) for r in stack for _ in range(2)])
-        assert ops == [op] * (2 * len(stack))
+        _same_ops(rotate, op_angles, [op] * (2 * len(stack)))
 
     @kernel_settings
     @given(stacks)
@@ -230,15 +246,17 @@ class TestKernelProperties:
     @kernel_settings
     @given(band_or_haar, angle_lists)
     def test_flip_is_an_involution(self, stack, thetas):
-        thetas = thetas[: len(stack)]
-        assert np.abs(_flip_rows(_flip_rows(stack, thetas), thetas) - stack).max() <= 1e-14
+        flip, thetas = np.zeros(len(stack), dtype=bool), np.array(thetas[: len(stack)])
+        twice = _image_rows(_image_rows(stack, flip, thetas), flip, thetas)
+        assert np.abs(twice - stack).max() <= 1e-14
 
     @kernel_settings
     @given(band_or_haar, angle_lists, angle_lists)
     def test_rotation_is_additive(self, stack, phis, psis):
-        phis, psis = phis[: len(stack)], psis[: len(stack)]
-        twice = _rotate_rows(_rotate_rows(stack, phis), psis)
-        once = _rotate_rows(stack, [p + q for p, q in zip(phis, psis)])
+        rotate = np.ones(len(stack), dtype=bool)
+        phis, psis = np.array(phis[: len(stack)]), np.array(psis[: len(stack)])
+        twice = _image_rows(_image_rows(stack, rotate, phis), rotate, psis)
+        once = _image_rows(stack, rotate, phis + psis)
         assert np.abs(twice - once).max() <= 1e-14
 
     @kernel_settings
@@ -250,7 +268,7 @@ class TestKernelProperties:
         st.one_of(st.none(), st.builds(AugmentOp, st.sampled_from(("rotate", "flip")), angles)),
     )
     def test_augment_stays_in_so3(self, stack, budget, seed, multiplier, op):
-        out, _ = _augment_rows(stack, op, budget, seed, 0, multiplier)
+        out = _augment_rows(stack, op, budget, seed, 0, multiplier)[0]
         assert len(out) == multiplier * len(stack)
         assert all(is_rotation(r, ORTHO_TOL) for r in out)
 

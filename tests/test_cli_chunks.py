@@ -14,6 +14,7 @@ import pytest
 
 from rotkit import (
     GIMBAL_EPS,
+    AugmentOp,
     PoseRecord,
     compose_pyr,
     compose_rpy,
@@ -23,6 +24,7 @@ from rotkit import (
     mean_geodesic_error,
     pca_project,
     pose_stream,
+    random_augment,
     random_rotation,
     read_labels,
     rot_x_left,
@@ -222,6 +224,29 @@ def test_read_only_commands_build_no_records(files, tmp_path, monkeypatch, capsy
 def test_writing_commands_build_no_records(files, tmp_path, monkeypatch, capsys,
                                            built_records, argv):
     _assert_builds_no_records(built_records, files, tmp_path, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("mode, built", [("random", 0), ("rotate", 1), ("flip", 1)])
+def test_augment_builds_no_op_per_row(files, tmp_path, monkeypatch, capsys, mode, built):
+    # ops travel as columns: the fixed op of rotate and flip mode is the
+    # only AugmentOp, built once to check --angle-deg
+    ops = []
+    init = AugmentOp.__init__
+
+    def counting(self, *args, **kwargs):
+        ops.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AugmentOp, "__init__", counting)
+    # in-process, so that the spy sees every chunk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    argv = ["augment", "--input", str(files[1]), "--output", str(tmp_path / "out.jsonl"),
+            "--mode", mode, "--multiplier", "2"]
+    assert main(argv + ([] if mode == "random" else ["--angle-deg", "30"])) == 0
+    assert len(ops) == built
+    # the spy sees the op that the library path builds
+    random_augment(np.eye(3), 0.1, pose_stream(0))
+    assert len(ops) == built + 1
 
 
 class TestStreamedErrors:

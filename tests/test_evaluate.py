@@ -100,3 +100,15 @@ def test_median_matches_statistics_median(n):
     report = mean_geodesic_error(preds, truth)
     distances = [d for _, d in report.per_record]
     assert report.median == statistics.median(distances)
+
+
+def test_generators_on_both_sides():
+    # each side is read once, whatever iterable it is
+    truth = _records(6, seed=12)
+    preds = [PoseRecord(id=r.id, rotation=rot_z_left(0.05) @ r.rotation) for r in reversed(truth)]
+    want = mean_geodesic_error(preds, truth)
+    got = mean_geodesic_error((r for r in preds), iter(truth))
+    assert got == want
+    assert mean_geodesic_error(preds, (r for r in truth)) == want
+    with pytest.raises(ValidationError, match="^no records to evaluate$"):
+        mean_geodesic_error(iter([]), (r for r in []))

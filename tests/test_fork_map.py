@@ -120,6 +120,22 @@ def test_defect_gives_the_same_error(tmp_path, good, monkeypatch, capsys, defect
             _assert_no_children()
 
 
+@pytest.mark.parametrize("defect", ["int_too_long", "nested_too_deep"])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_undecodable_line_is_one_error_line(tmp_path, monkeypatch, capfd, defect, cores):
+    # at the file descriptor, so that a worker's output would show
+    items = _objects(N, seed=1)
+    items[CHUNK + 7] = DEFECTS[defect](items[CHUNK + 7])
+    bad = _write(tmp_path / "bad.jsonl", items)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert main(["stats", "--input", str(bad)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith(f"rotkit: error: {bad}:{CHUNK + 8}: invalid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    _assert_no_children()
+
+
 @pytest.mark.parametrize("how", ["exit", "kill"])
 @pytest.mark.parametrize("command", ["augment", "convert-pyr", "eval-truth", "draw"])
 def test_dead_worker_fails_the_command(tmp_path, good, monkeypatch, capsys, how, command):

@@ -86,6 +86,25 @@ class TestValidation:
         with pytest.raises(ParseError, match=":2"):
             read_labels(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "b", "rotation": [1' + "0" * 5000 + ", 0, 0, 0, 1, 0, 0, 0, 1]}",
+             "Exceeds the limit (4300 digits) for integer string conversion"),
+            ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+        ],
+        ids=["long_integer", "deep_nesting"],
+    )
+    def test_undecodable_line_reports_line_number(self, tmp_path, line, message):
+        # the decoder raises ValueError and RecursionError here, not
+        # JSONDecodeError
+        path = tmp_path / "bad.jsonl"
+        good = '{"id": "a", "rotation": [1,0,0,0,1,0,0,0,1]}\n'
+        path.write_text(good + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert str(err.value).startswith(f"{path}:2: invalid JSON: {message}")
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "missing.jsonl"
         path.write_text('{"rotation": [1,0,0,0,1,0,0,0,1]}\n', encoding="utf-8")

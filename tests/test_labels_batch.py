@@ -39,8 +39,9 @@ def _scalar_read(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {msg}") from None
             out.append(record_from_dict(obj, where=f"{path}:{lineno}"))
     return out
 
@@ -137,6 +138,9 @@ def _identity(obj, **view):
 # One contract violation each, applied to a valid decoded object.
 DEFECTS = {
     "bad_json": lambda obj: '{"id": "x", "rotation": [1, 0',
+    # lines on which the decoder raises ValueError and RecursionError
+    "int_too_long": lambda obj: '{"id": "x", "rotation": [1' + "0" * 5000 + "]}",
+    "nested_too_deep": lambda obj: "[" * 100000 + "]" * 100000,
     "not_object": lambda obj: "[1, 2, 3]",
     "missing_id": lambda obj: {k: v for k, v in obj.items() if k != "id"},
     "missing_rotation": lambda obj: {k: v for k, v in obj.items() if k != "rotation"},
