@@ -20,17 +20,20 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import _HALF_PI, _NEG_Y, _require_rotations, require_rotation
+from .core import _HALF_PI, _cos_sin, _matrix, _mul, _require_rotations, require_rotation
 
 _U64 = (1 << 64) - 1
 
-# Intrinsic X-axis flip: the second factor of every label flip, and the
-# left factor of the horizontal mirror (vertical mirror line).
-_FLIP_X = np.diag([-1.0, 1.0, 1.0])
-_NEG_XY = np.diag([-1.0, -1.0, 1.0])
-_SWAP_XY = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-COROLLARY_CASES = ("horizontal", "vertical", "both_axes", "diagonal", "rot45")
+# The corollary cases as exact image ops (cosine, sine, sign; _image_op):
+# flips across L_pi/2, L_0, L_pi/4, and rotations by pi (two flips) and pi/4.
+_COROLLARY_OPS = {
+    "horizontal": (-1.0, 0.0, -1.0),
+    "vertical": (1.0, 0.0, -1.0),
+    "both_axes": (-1.0, 0.0, 1.0),
+    "diagonal": (0.0, 1.0, -1.0),
+    "rot45": (math.cos(math.pi / 4), math.sin(math.pi / 4), 1.0),
+}
+COROLLARY_CASES = tuple(_COROLLARY_OPS)
 
 
 class PixelPoint(NamedTuple):
@@ -64,14 +67,22 @@ class AugmentOp:
         return cls(str(d["kind"]), math.radians(float(d["angle_deg"])))
 
 
+def _image_op(a, c, s, sign):
+    # The label with row-major entries a (as in _mul) after rotating the
+    # image by the angle of cosine c and sine s (sign 1.0), or flipping it
+    # across the line at half that angle (sign -1.0): a reflection, then
+    # the intrinsic X-axis flip of the first column.  Signs are exact.
+    m = _mul((c, -sign * s, 0.0, s, sign * c, 0.0, 0.0, 0.0, 1.0), a)
+    m[0], m[3], m[6] = sign * m[0], sign * m[3], sign * m[6]
+    return m
+
+
 def rotate_image_label(r, phi: float) -> np.ndarray:
     """Rotation label after rotating the image by phi counter-clockwise."""
     a = require_rotation(r)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    c, s = math.cos(phi), math.sin(phi)
-    m = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return m @ a
+    return _matrix(_image_op(a.ravel().tolist(), math.cos(phi), math.sin(phi), 1.0))
 
 
 def flip_image_label(r, theta: float) -> np.ndarray:
@@ -85,8 +96,7 @@ def flip_image_label(r, theta: float) -> np.ndarray:
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    m = np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 1.0]])
-    return m @ a @ _FLIP_X
+    return _matrix(_image_op(a.ravel().tolist(), c, s, -1.0))
 
 
 def corollary_case(r, case: str) -> np.ndarray:
@@ -97,17 +107,9 @@ def corollary_case(r, case: str) -> np.ndarray:
     image by pi/4.
     """
     a = require_rotation(r)
-    if case == "horizontal":
-        return _FLIP_X @ a @ _FLIP_X
-    if case == "vertical":
-        return _NEG_Y @ a @ _FLIP_X
-    if case == "both_axes":
-        return _NEG_XY @ a
-    if case == "diagonal":
-        return _SWAP_XY @ a @ _FLIP_X
-    if case == "rot45":
-        return rotate_image_label(a, math.pi / 4)
-    raise ValueError(f"unknown corollary case {case!r}; expected one of {COROLLARY_CASES}")
+    if case not in _COROLLARY_OPS:
+        raise ValueError(f"unknown corollary case {case!r}; expected one of {COROLLARY_CASES}")
+    return _matrix(_image_op(a.ravel().tolist(), *_COROLLARY_OPS[case]))
 
 
 def apply_augment(r, op: AugmentOp) -> np.ndarray:
@@ -158,23 +160,13 @@ def _image_rows(a: np.ndarray, rotate: np.ndarray, angles: np.ndarray) -> np.nda
     """One image op on each row of an (n, 3, 3) stack: rotate_image_label
     by angles[i] where rotate[i], else flip_image_label across L_angles[i].
 
-    No SO(3) check.  The image matrices are built from math.cos/math.sin
-    and applied with one stacked product, then the flipped rows are
-    right-multiplied by _FLIP_X, so rows match the scalar functions byte
-    for byte.
+    No SO(3) check.  _image_op on columns, with the cosines and sines from
+    math.cos/math.sin, so rows match the scalar functions byte for byte.
     """
-    # the plane angle of each image matrix: phi, or 2 theta for a flip
-    phis = np.where(rotate, angles, 2.0 * angles).tolist()
-    c = np.array(list(map(math.cos, phis)))
-    s = np.array(list(map(math.sin, phis)))
-    m = np.zeros((len(phis), 9))
-    m[:, 0], m[:, 3], m[:, 8] = c, s, 1.0
-    m[:, 1] = np.where(rotate, -s, s)
-    m[:, 4] = np.where(rotate, c, -c)
-    out = m.reshape(-1, 3, 3) @ a
-    flip = ~rotate
-    out[flip] = out[flip] @ _FLIP_X
-    return out
+    # the plane angle of each image op: phi, or 2 theta for a flip
+    c, s = _cos_sin(np.where(rotate, angles, 2.0 * angles))
+    m = _image_op(a.reshape(-1, 9).T, c, s, np.where(rotate, 1.0, -1.0))
+    return np.stack(m, axis=-1).reshape(-1, 3, 3)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,

@@ -2,8 +2,10 @@
 
 Subcommands operate on JSON Lines label files and emit labels, CSV, or
 SVG.  Every command is a pure function of its inputs, flags and seed:
-identical invocations produce byte-identical output files.  Exit codes:
-0 success, 1 validation error, 2 I/O error.
+identical invocations produce byte-identical output files on any BLAS
+kernel, except `pca` (LAPACK's eigh); across CPUs, glibc's FMA sin, cos
+and atan2 and numpy's SIMD arctan2 in `eval` can still change last bits.
+Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
 import argparse

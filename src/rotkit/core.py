@@ -18,10 +18,6 @@ ORTHO_TOL = 1e-9
 
 _HALF_PI = math.pi / 2
 _TWO_PI = 2.0 * math.pi
-_I3 = np.eye(3)
-# Negates y: the mirror across the image's horizontal axis, and the
-# world-to-screen axis change of the drawing, which is its own inverse.
-_NEG_Y = np.diag([1.0, -1.0, 1.0])
 
 
 class EulerPYR(NamedTuple):
@@ -51,32 +47,53 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % _TWO_PI
 
 
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def _mul(a, b) -> list:
+    # Product of 3x3 matrices given as row-major entries, floats or columns
+    # as in _det; each entry sums left to right, the same bytes on any BLAS.
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return [
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    ]
+
+
+def _elemental(axis: str, c, s) -> tuple:
+    # Row-major entries of the left-handed elemental rotation about `axis`
+    # with cosine c and sine s, floats or columns as in _mul.
+    if axis == "x":
+        return (1.0, 0.0, 0.0, 0.0, c, s, 0.0, -s, c)
+    if axis == "y":
+        return (c, 0.0, -s, 0.0, 1.0, 0.0, s, 0.0, c)
+    return (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0)
+
+
+def _elemental_at(axis: str, theta) -> tuple:
+    theta = float(theta)
+    if not math.isfinite(theta):
+        name = {"x": "pitch", "y": "yaw", "z": "roll"}[axis]
+        raise ValueError(f"{name} must be finite, got {theta!r}")
+    return _elemental(axis, math.cos(theta), math.sin(theta))
+
+
+def _matrix(entries) -> np.ndarray:
+    return np.array(entries).reshape(3, 3)
 
 
 def rot_x_left(p: float) -> np.ndarray:
     """Left-handed elemental rotation about the X axis (pitch)."""
-    p = _require_finite(p, "pitch")
-    c, s = math.cos(p), math.sin(p)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+    return _matrix(_elemental_at("x", p))
 
 
 def rot_y_left(y: float) -> np.ndarray:
     """Left-handed elemental rotation about the Y axis (yaw)."""
-    y = _require_finite(y, "yaw")
-    c, s = math.cos(y), math.sin(y)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    return _matrix(_elemental_at("y", y))
 
 
 def rot_z_left(r: float) -> np.ndarray:
     """Left-handed elemental rotation about the Z axis (roll)."""
-    r = _require_finite(r, "roll")
-    c, s = math.cos(r), math.sin(r)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    return _matrix(_elemental_at("z", r))
 
 
 class _Convention(NamedTuple):
@@ -84,9 +101,10 @@ class _Convention(NamedTuple):
     _extract and _euler_rows.
 
     A triple (first, middle, last) composes as R_a @ R_b @ R_c for axes
-    "abc".  Entries index the row-major matrix m: middle = asin(-m[mid]);
-    first and last are atan2 of their (numerator, denominator) entries; at
-    the lock, half = atan2(+/-m[lock[0]], m[lock[1]]) / 2 with + at middle =
+    "abc".  Entries index the row-major matrix m: first and last are atan2
+    of their (numerator, denominator) entries, and middle = atan2(-m[mid],
+    c) with c = hypot(m[last[0]], m[last[1]]) = |cos(middle)|; at the
+    lock, half = atan2(+/-m[lock[0]], m[lock[1]]) / 2 with + at middle =
     +pi/2, and (first, last) = split * half.
     """
 
@@ -107,18 +125,11 @@ _CONVENTIONS = {
     "rpy": _Convention("zxy", 7, (1, 4), (6, 8), (3, 0), (-1.0, 1.0), (1.0, 1.0)),
 }
 
-# Each convention's elemental rotations, left to right, resolved once so
-# that _compose costs compose_pyr no per-call lookup of the axes.
-_ELEMENTALS = {
-    name: tuple({"x": rot_x_left, "y": rot_y_left, "z": rot_z_left}[axis] for axis in conv.axes)
-    for name, conv in _CONVENTIONS.items()
-}
-
 
 def _compose(e, convention: str) -> np.ndarray:
-    f, g, h = _ELEMENTALS[convention]
     a, b, c = e
-    return f(a) @ g(b) @ h(c)
+    f, g, h = map(_elemental_at, _CONVENTIONS[convention].axes, (a, b, c))
+    return _matrix(_mul(_mul(f, g), h))
 
 
 def compose_pyr(e) -> np.ndarray:
@@ -142,6 +153,14 @@ def _det(m):
     )
 
 
+def _so3_gaps(m) -> list:
+    # |m m^T - I| entry by entry, then |det m - 1|, for entries m as in _mul.
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    p = _mul(m, (m0, m3, m6, m1, m4, m7, m2, m5, m8))
+    p[0], p[4], p[8] = p[0] - 1.0, p[4] - 1.0, p[8] - 1.0
+    return [abs(v) for v in p] + [abs(_det(m) - 1.0)]
+
+
 def is_rotation(m, tol: float = ORTHO_TOL) -> bool:
     """True iff m is 3x3 with orthogonality residual and |det - 1| <= tol.
 
@@ -152,8 +171,7 @@ def is_rotation(m, tol: float = ORTHO_TOL) -> bool:
     a = np.asarray(m, dtype=float)
     if a.shape != (3, 3):
         return False
-    resid = float(np.abs(a @ a.T - _I3).max())
-    return resid <= tol and abs(_det(a.ravel().tolist()) - 1.0) <= tol
+    return all([gap <= tol for gap in _so3_gaps(a.ravel().tolist())])
 
 
 def require_rotation(m, tol: float = ORTHO_TOL, what: str = "input") -> np.ndarray:
@@ -178,14 +196,16 @@ def geodesic_distance(a, b, tol: float = ORTHO_TOL) -> float:
 
 
 # Batched kernels over (n, 3, 3) stacks for the label readers, writers and
-# CLI commands.  Products are stacked `@`, one 3x3 product per row, and
-# sines and cosines come from `math`, so rows match the scalar kernels.
-# Residuals and distances may still round differently in the last bits, so
-# callers that need the scalar verdict exactly leave a margin.
+# CLI commands.  Each evaluates the scalar kernel's expression (_mul,
+# _so3_gaps, _det) on the columns a.reshape(-1, 9).T, with sines and
+# cosines from `math`: every row, residual and distance equals the scalar
+# one byte for byte, and no product goes through BLAS.
 
-# Fraction of a tolerance that a batched residual or distance must keep to
-# spare before the batch verdict stands in for the scalar one.
-_BATCH_MARGIN = 1e-6
+
+def _cos_sin(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # math.cos and math.sin of each angle (numpy's may differ in the last bit)
+    t = theta.tolist()
+    return np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))
 
 
 def _sum9(x: np.ndarray) -> np.ndarray:
@@ -209,28 +229,17 @@ def _geodesic_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 
 def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:
     """Boolean mask over an (n, 3, 3) float stack: is_rotation on each matrix."""
-    resid = np.abs(a @ a.swapaxes(1, 2) - _I3).max(axis=(1, 2), initial=0.0)
-    return (resid <= tol) & (np.abs(_det(a.reshape(-1, 9).T) - 1.0) <= tol)
-
-
-def _all_rotations(a: np.ndarray, tol: float = ORTHO_TOL) -> bool:
-    """True when every row of an (n, 3, 3) stack passes is_rotation at tol
-    with _BATCH_MARGIN to spare.  False means some row may fail the scalar
-    check; callers then take the scalar path, which raises its own error.
-    """
-    if a.ndim != 3 or a.shape[1:] != (3, 3):
-        return False
-    return bool(_is_rotation_batch(a, tol * (1.0 - _BATCH_MARGIN)).all())
+    return np.logical_and.reduce([gap <= tol for gap in _so3_gaps(a.reshape(-1, 9).T)])
 
 
 def _require_rotations(a: np.ndarray) -> np.ndarray:
     """require_rotation on every row of an (n, 3, 3) stack; returns the stack.
 
-    One batched check (_all_rotations) decides for the whole stack.  Only
-    when it fails are the rows checked one by one, so the first row outside
-    SO(3) raises require_rotation's own error.
+    One batched check decides for the whole stack.  Only when it fails are
+    the rows checked one by one, so the first row outside SO(3) raises
+    require_rotation's own error.
     """
-    if not _all_rotations(a):
+    if a.ndim != 3 or a.shape[1:] != (3, 3) or not _is_rotation_batch(a, ORTHO_TOL).all():
         for r in a:
             require_rotation(r)
     return a.reshape(-1, 3, 3)
@@ -254,32 +263,17 @@ def _geodesic_batch(a, b, tol: float) -> np.ndarray:
     return _geodesic_rows(*stacks)
 
 
-# Row-major slots of cos, cos, +sin, -sin and 1 in each left-handed
-# elemental rotation (see rot_x_left, rot_y_left, rot_z_left).
-_ELEMENTAL_SLOTS = {"x": (4, 8, 5, 7, 0), "y": (0, 8, 6, 2, 4), "z": (0, 4, 1, 3, 8)}
-
-
-def _rot_batch(axis: str, theta: np.ndarray) -> np.ndarray:
-    c1, c2, plus, minus, one = _ELEMENTAL_SLOTS[axis]
-    angles = theta.tolist()
-    c, s = np.array(list(map(math.cos, angles))), np.array(list(map(math.sin, angles)))
-    out = np.zeros((len(theta), 9))
-    out[:, c1] = c
-    out[:, c2] = c
-    out[:, plus] = s
-    out[:, minus] = -s
-    out[:, one] = 1.0
-    return out.reshape(-1, 3, 3)
-
-
 def _compose_rows(angles: np.ndarray, convention: str) -> np.ndarray:
     """_compose over an (n, 3) array of finite angle rows; (n, 3, 3).
 
     Row for row the same bytes as compose_pyr ("pyr") or compose_rpy
     ("rpy"), signed zeros included.
     """
-    (i, a), (j, b), (k, c) = zip(_CONVENTIONS[convention].axes, angles.T)
-    return _rot_batch(i, a) @ _rot_batch(j, b) @ _rot_batch(k, c)
+    f, g, h = (
+        _elemental(axis, *_cos_sin(theta))
+        for axis, theta in zip(_CONVENTIONS[convention].axes, angles.T)
+    )
+    return np.stack(_mul(_mul(f, g), h), axis=-1).reshape(-1, 3, 3)
 
 
 def _quat_to_matrix(w: float, x: float, y: float, z: float) -> np.ndarray:

@@ -14,9 +14,12 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _NEG_Y, _require_rotations, require_rotation
+from .core import _require_rotations, require_rotation
 
 AXIS_COLORS = ("#FF0000", "#00FF00", "#0000FF")
+# The first two rows of T R T, as signs on the rows of R: conjugation by
+# T = diag(1, -1, 1) negates each entry with exactly one index equal to 1.
+_T_SIGNS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
 
 Segment = Tuple[Tuple[float, float], Tuple[float, float]]
 
@@ -50,9 +53,8 @@ def project_axes(r) -> AxisProjection:
     No Euler angles are involved, so rotations with ambiguous Euler
     representations still draw identically.
     """
-    a = require_rotation(r)
-    d = _NEG_Y @ a @ _NEG_Y  # T is its own inverse
-    return AxisProjection(d[:2, 0].copy(), d[:2, 1].copy(), d[:2, 2].copy())
+    d = require_rotation(r)[:2] * _T_SIGNS
+    return AxisProjection(*d.T.copy())
 
 
 def reference_draw_axis(e) -> AxisProjection:
@@ -84,22 +86,17 @@ def segments(proj: AxisProjection, spec: DrawSpec) -> list[Segment]:
     a zero-length line so the element count stays stable.
     """
     cx, cy = float(spec.center[0]), float(spec.center[1])
-    out = []
-    for axis in (proj.x_axis, proj.y_axis, proj.z_axis):
-        out.append(
-            ((cx, cy), (cx + spec.size * float(axis[0]), cy + spec.size * float(axis[1])))
-        )
-    return out
+    return [((cx, cy), (cx + spec.size * float(x), cy + spec.size * float(y))) for x, y in proj]
 
 
 def _segments_rows(a: np.ndarray, spec: DrawSpec) -> List[List[Segment]]:
     """segments(project_axes(r), spec) for each row r of an (n, 3, 3) stack.
 
-    One SO(3) check for the stack (_require_rotations) and one stacked
-    conjugation by T; endpoints are center + size * axis, the same two
+    One SO(3) check for the stack (_require_rotations) and the sign flips
+    of project_axes; endpoints are center + size * axis, the same two
     roundings as segments, so they match it byte for byte.
     """
-    d = _NEG_Y @ _require_rotations(a) @ _NEG_Y
+    d = _require_rotations(a)[:, :2] * _T_SIGNS
     cx, cy, size = float(spec.center[0]), float(spec.center[1]), float(spec.size)
     xs = (cx + size * d[:, 0, :]).tolist()
     ys = (cy + size * d[:, 1, :]).tolist()

@@ -78,8 +78,9 @@ def _extract(r, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
     core._CONVENTIONS, and its lock: 0, or +1 / -1 when locked with the
     middle angle at +pi/2 / -pi/2.
 
-    The middle angle stays in asin's [-pi/2, pi/2]; first and last are
-    wrapped into (-pi, pi].
+    The middle angle is atan2(sine, c) in [-pi/2, pi/2], c = |cos(middle)|
+    the hypot of the last angle's entries and the lock test; first and last,
+    atan2 of entries that carry the factor c > 0, are wrapped into (-pi, pi].
     """
     _, i_mid, (fy, fx), (ly, lx), (num, den), split_up, split_down = _CONVENTIONS[convention]
     gimbal_eps = float(gimbal_eps)
@@ -87,11 +88,10 @@ def _extract(r, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
         raise ValueError("gimbal_eps must be positive")
     m = require_rotation(r).ravel().tolist()
 
-    mid = math.asin(min(1.0, max(-1.0, -m[i_mid])))
-    c = math.cos(mid)
+    c = math.hypot(m[ly], m[lx])
     if c > gimbal_eps:
-        first = wrap_angle(math.atan2(m[fy] / c, m[fx] / c))
-        return (first, mid, wrap_angle(math.atan2(m[ly] / c, m[lx] / c))), 0
+        first = wrap_angle(math.atan2(m[fy], m[fx]))
+        return (first, math.atan2(-m[i_mid], c), wrap_angle(math.atan2(m[ly], m[lx]))), 0
 
     if m[i_mid] <= 0.0:
         half, lock = 0.5 * math.atan2(m[num], m[den]), 1
@@ -142,25 +142,22 @@ def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]
     Returns the (n, 3) angle rows and the mask of rows the scalar extractor
     reports as Gimbal-locked.  One SO(3) check for the stack
     (_require_rotations); regular rows repeat _extract's operations, with
-    asin, cos and atan2 from `math` on Python floats (numpy's can differ in
-    the last bit) and only the divisions in numpy; locked rows go to
-    _extract itself.  So every row equals the scalar result exactly.
+    hypot and atan2 from `math` on Python floats (numpy's can differ in the
+    last bit); locked rows go to _extract itself.  So every row equals the
+    scalar result exactly.
     """
     conv = _CONVENTIONS[convention]
     a = _require_rotations(a)
-    flat = a.reshape(-1, 9)
-    mid = list(map(math.asin, np.clip(-flat[:, conv.mid], -1.0, 1.0).tolist()))
-    c = np.array(list(map(math.cos, mid)))
+    m = a.reshape(-1, 9).T.tolist()
+    c = list(map(math.hypot, m[conv.last[0]], m[conv.last[1]]))
 
     def atan2(i, j):
-        # locked rows may divide by ~0 here; they are replaced below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y, x = (flat[:, i] / c).tolist(), (flat[:, j] / c).tolist()
-        return list(map(wrap_angle, map(math.atan2, y, x)))
+        return list(map(wrap_angle, map(math.atan2, m[i], m[j])))
 
-    # wrap_angle leaves asin's range, the middle angle, unchanged
+    mid = list(map(math.atan2, [-v for v in m[conv.mid]], c))
+    # wrap_angle leaves the middle angle's [-pi/2, pi/2] unchanged
     out = np.column_stack([atan2(*conv.first), mid, atan2(*conv.last)])
-    locked = ~(c > GIMBAL_EPS)
+    locked = ~(np.array(c) > GIMBAL_EPS)
     for k in np.flatnonzero(locked).tolist():
         out[k] = _extract(a[k], convention, GIMBAL_EPS)[0]
     return out, locked

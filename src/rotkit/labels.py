@@ -17,7 +17,7 @@ by line and validated with batched kernels, and comes out as columns: its
 ids, one (n, 3, 3) rotation stack, image paths, Euler views, gimbal flags
 and provenance (_Chunk, from _read_chunk).  record_from_dict is the
 per-record contract, the only source of error messages, and decides any
-chunk that fails or sits near a tolerance.  read_labels builds PoseRecords
+chunk that fails the batched checks.  read_labels builds PoseRecords
 from the chunks.  _columns is the one gather of PoseRecords into a _Chunk,
 used by the record-by-record reader and by write_labels, and one column
 encoder (_encode_columns), which takes a chunk's fields, writes every
@@ -45,12 +45,11 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import (
-    _BATCH_MARGIN,
     _CONVENTIONS,
-    _all_rotations,
     _compose,
     _compose_rows,
     _geodesic_rows,
+    _is_rotation_batch,
     geodesic_distance,
     is_rotation,
 )
@@ -114,31 +113,49 @@ def _as_triple(value, what: str, rec_id: str) -> Tuple[float, float, float]:
     return t
 
 
-def _check_euler_view(rec_id: str, rotation, matrix, tol: float, what: str) -> None:
-    dist = geodesic_distance(matrix, rotation, tol=FILE_ORTHO_TOL)
-    if dist > tol:
-        raise ValidationError(
-            f"record {rec_id!r}: {what} disagrees with rotation "
-            f"(geodesic {dist:.3e} rad > {tol:g})"
-        )
-
-
 # Types of a valid gimbal flag: JSON true or false; absent or null means false.
 _FLAG_TYPES = {bool, type(None)}
 # Types of a valid id, compared by type(): bool, a subclass of int, is refused.
 _ID_TYPES = {str, int}
+# Levels a provenance may nest, itself included: the JSON encoder recurses
+# once per level, and a deeper one could not be written back.
+_PROVENANCE_DEPTH = 64
+_NESTED = {list, dict}
+
+
+def _too_deep(values) -> bool:
+    # True when a list or dict among values nests over _PROVENANCE_DEPTH
+    # levels.  A level of lists alone or of dicts alone is scanned in C.
+    for _ in range(_PROVENANCE_DEPTH):
+        kinds = set(map(type, values))
+        if kinds == {dict}:
+            if not _NESTED & set(map(type, chain.from_iterable(map(dict.values, values)))):
+                return False
+            values = list(chain.from_iterable(map(dict.values, values)))
+        elif kinds == {list}:
+            values = list(chain.from_iterable(values))
+        elif kinds & _NESTED:
+            values = [v for x in values if type(x) in _NESTED
+                      for v in (x.values() if type(x) is dict else x)]
+        else:
+            return False
+    return bool(_NESTED & set(map(type, values)))
 
 
 def _extras(obj: dict, rec_id: str) -> Tuple[Optional[str], list]:
     # The non-numeric fields, checked once rotation, gimbal flag and views
     # have passed: the image path (a string, or absent or null) and the
-    # provenance (a list; absent, null or empty means []).
+    # provenance (a list of bounded depth; absent, null or empty means []).
     image_path = obj.get("image_path")
     if image_path is not None and not isinstance(image_path, str):
         raise ValidationError(f"record {rec_id!r}: image_path must be a string or null")
     provenance = obj.get("provenance") or []
     if not isinstance(provenance, list):
         raise ValidationError(f"record {rec_id!r}: provenance must be a list")
+    if _too_deep([provenance]):
+        raise ValidationError(
+            f"record {rec_id!r}: provenance nests deeper than {_PROVENANCE_DEPTH} levels"
+        )
     return image_path, provenance
 
 
@@ -172,7 +189,10 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
         if obj.get(field_name) is not None:
             view = _as_triple(obj[field_name], field_name, rec_id)
             composed = _compose([math.radians(v) for v in view], convention)
-            _check_euler_view(rec_id, rotation, composed, tol, field_name)
+            dist = geodesic_distance(composed, rotation, tol=FILE_ORTHO_TOL)
+            if dist > tol:
+                raise ValidationError(f"record {rec_id!r}: {field_name} disagrees with rotation "
+                                      f"(geodesic {dist:.3e} rad > {tol:g})")
         views.append(view)
 
     image_path, provenance = _extras(obj, rec_id)
@@ -246,23 +266,17 @@ def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
     try:
         if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
             return None
-        a = np.array(rows)
-    except (TypeError, ValueError):  # a row that is not a list, ragged rows
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a non-list, ragged rows, huge ints
         return None
-    if a.dtype.kind not in "iuf" or a.shape != (len(rows), width):
+    if a.shape != (len(rows), width):
         return None
-    a = a.astype(float, copy=False)
     return a if np.isfinite(a).all() else None
-
-
-# A chunk is accepted in bulk only when every residual and view distance is
-# at least _BATCH_MARGIN of its tolerance inside it; otherwise
-# record_from_dict decides, and the verdicts are the scalar ones exactly.
 
 
 def _chunk_views(column: list, rotations, convention: str, tols) -> Optional[list]:
     # One convention's Euler views (degrees, a JSON value or None per
-    # record) against their rows of rotations, as in _check_euler_view:
+    # record) against their rows of rotations, as in record_from_dict:
     # geodesic from the composed view to the matrix.  Returns column with
     # each view as a tuple, or None when some view is malformed or too far
     # off.
@@ -273,7 +287,7 @@ def _chunk_views(column: list, rotations, convention: str, tols) -> Optional[lis
     if views is None:
         return None
     dist = _geodesic_rows(_compose_rows(np.radians(views), convention), rotations[idx])
-    if not (dist <= tols[idx] * (1.0 - _BATCH_MARGIN)).all():
+    if not (dist <= tols[idx]).all():
         return None
     for i, view in zip(idx, map(tuple, views.tolist())):
         column[i] = view
@@ -299,8 +313,8 @@ class _Chunk(NamedTuple):
 def _chunk_batched(objs: list) -> Optional[_Chunk]:
     """The chunk record_from_dict would accept from objs, or None.
 
-    None means some object may break the contract or sits at a tolerance
-    edge; the caller then re-validates one record at a time.
+    None means some object may break the contract; the caller then
+    re-validates one record at a time, which raises the first error.
     """
     for obj in objs:
         if not isinstance(obj, dict) or "id" not in obj or "rotation" not in obj:
@@ -313,7 +327,7 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
     if flat is None:
         return None
     rotations = flat.reshape(-1, 3, 3)
-    if not _all_rotations(rotations, FILE_ORTHO_TOL):
+    if not _is_rotation_batch(rotations, FILE_ORTHO_TOL).all():
         return None
     tols = np.array([GIMBAL_CONSISTENCY_TOL if flag else EULER_CONSISTENCY_TOL for flag in flags])
     views = []
@@ -323,12 +337,15 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
             return None
         views.append(column)
 
-    ids = list(map(str, ids))
-    # a bad image path or provenance raises here, as it would line by
-    # line: every record's numeric checks have passed
-    image_paths, provenance = zip(*map(_extras, objs, ids))
-    return _Chunk(ids, rotations, list(image_paths), tuple(views), list(map(bool, flags)),
-                  list(provenance))
+    # _extras' checks, on the whole chunk
+    image_paths = [obj.get("image_path") for obj in objs]
+    provenance = [obj.get("provenance") or [] for obj in objs]
+    if set(map(type, image_paths)) - {str, type(None)} or set(map(type, provenance)) - {list}:
+        return None
+    if _too_deep(provenance):
+        return None
+    return _Chunk(list(map(str, ids)), rotations, image_paths, tuple(views),
+                  list(map(bool, flags)), provenance)
 
 
 def _columns(records: list) -> _Chunk:

@@ -1,0 +1,66 @@
+"""Output bytes that do not depend on OpenBLAS's choice of CPU kernel.
+
+numpy's OpenBLAS picks a kernel for the CPU at start-up, and
+OPENBLAS_CORETYPE forces one in the process that sets it.  The same corpus
+is built in two child processes, one with the default kernel and one with
+Prescott's, which has no fused multiply-add, and every file must match.
+`pca` is left out: it goes through LAPACK's eigh, which still depends on
+the kernel.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Two forked workers on any host; the spiral spans two chunks and each
+# augmented file three.
+PIPELINE = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from rotkit.cli import main
+
+out = sys.argv[1]
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("spiral", "--count", "1100", "--output", f"{out}/spiral.jsonl")
+for seed in ("3", "17"):
+    run("augment", "--input", f"{out}/spiral.jsonl", "--output", f"{out}/aug{seed}.jsonl",
+        "--multiplier", "2", "--seed", seed)
+for target in ("euler_pyr", "euler_rpy"):
+    run("convert", "--input", f"{out}/aug3.jsonl", "--output", f"{out}/{target}.jsonl",
+        "--target", target)
+run("stats", "--input", f"{out}/aug3.jsonl", "--output", f"{out}/stats.csv")
+run("eval", "--input", f"{out}/aug3.jsonl", f"{out}/aug17.jsonl", "--output", f"{out}/eval.csv")
+run("draw", "--input", f"{out}/aug3.jsonl", "--output", f"{out}/svg")
+"""
+
+
+def _build(out_dir, coretype):
+    """md5 of every file the pipeline writes into out_dir, by relative path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    os.makedirs(out_dir)
+    subprocess.run([sys.executable, "-c", PIPELINE, str(out_dir)], env=env, check=True,
+                   capture_output=True, timeout=600)
+    digests = {}
+    for dirpath, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, out_dir)] = hashlib.md5(fh.read()).hexdigest()
+    return digests
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    default = _build(tmp_path / "default", None)
+    prescott = _build(tmp_path / "prescott", "Prescott")
+    assert len(default) == 7 + 2200
+    changed = sorted(name for name in default if default[name] != prescott.get(name))
+    assert changed == [], f"{len(changed)} files differ, among them {changed[:5]}"

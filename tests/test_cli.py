@@ -329,6 +329,29 @@ class TestExitCodes:
         assert main(["stats", "--input", str(src)]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["augment", "--multiplier", "2"],
+    ["convert", "--target", "euler_pyr"],
+])
+def test_deep_provenance_is_one_error_line(tmp_path, command):
+    # the JSON encoder ran out of stack on such a record, which the decoder
+    # still took, and the command ended in a traceback
+    path = tmp_path / "deep.jsonl"
+    deep = "[" * 980 + "]" * 980
+    path.write_text(
+        '{"id": "a", "rotation": [1,0,0,0,1,0,0,0,1], "provenance": ' + deep + "}\n",
+        encoding="utf-8",
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [*command, "--input", str(path), "--output", str(tmp_path / "out.jsonl")]
+    out = subprocess.run([sys.executable, "-m", "rotkit.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "rotkit: error: record 'a': provenance nests deeper than 64 levels\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def _loaded_modules(code, prefixes):
     """Modules under `prefixes` loaded after running `code` in a fresh interpreter."""
     code += f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"

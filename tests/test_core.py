@@ -23,8 +23,11 @@ from rotkit.core import (
     ORTHO_TOL,
     _compose_rows,
     _geodesic_batch,
+    _geodesic_rows,
     _is_rotation_batch,
+    _so3_gaps,
 )
+from rotkit.euler import GIMBAL_EPS, _euler_rows
 
 
 class TestElementalRotations:
@@ -255,6 +258,31 @@ class TestBatchedKernels:
         d = _geodesic_batch(a, b, ORTHO_TOL)
         assert d.tolist() == [geodesic_distance(x, y) for x, y in zip(a, b)]
         assert np.array_equal(d, _geodesic_batch(b, a, ORTHO_TOL))
+
+    def test_gaps_and_view_distances_equal_the_scalar_ones(self):
+        # read_labels accepts a chunk in bulk when these pass, with no
+        # margin, so they must equal record_from_dict's bit for bit
+        rng = np.random.default_rng(53)
+        haar = np.stack([random_rotation(rng) for _ in range(2000)])
+        e = rng.uniform(-math.pi, math.pi, (1000, 3))
+        e[:, 1] = rng.choice([-1.0, 1.0], 1000) * math.pi / 2 + rng.uniform(
+            -10 * GIMBAL_EPS, 10 * GIMBAL_EPS, 1000)
+        rows = np.concatenate([haar, _compose_rows(e[:500], "pyr"), _compose_rows(e[500:], "rpy")])
+        # scaled rows have residuals up to about the file tolerance
+        scaled = rows * (1.0 + rng.uniform(-1e-6, 1e-6, len(rows)))[:, None, None]
+        for stack in (rows, scaled):
+            batch = np.array(_so3_gaps(stack.reshape(-1, 9).T)).T
+            scalar = np.array([_so3_gaps(r.ravel().tolist()) for r in stack])
+            assert batch.tobytes() == scalar.tobytes()
+        for convention, compose in (("pyr", compose_pyr), ("rpy", compose_rpy)):
+            angles = _euler_rows(rows, convention)[0]
+            views = np.degrees(angles + rng.uniform(-2e-6, 2e-6, angles.shape))
+            batch = _geodesic_rows(_compose_rows(np.radians(views), convention), rows)
+            scalar = [
+                geodesic_distance(compose([math.radians(v) for v in view]), r, tol=1e-6)
+                for view, r in zip(views.tolist(), rows)
+            ]
+            assert batch.tobytes() == np.array(scalar).tobytes()
 
     def test_geodesic_batch_names_bad_row(self):
         a = np.stack([np.eye(3), 2.0 * np.eye(3)])

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import rotation_angle
 from rotkit import (
+    GIMBAL_EPS,
     EulerPYR,
     EulerRPY,
     canonical_pyr,
@@ -16,6 +17,8 @@ from rotkit import (
     random_rotation,
     rpy_to_pyr,
 )
+from rotkit.core import _compose_rows, _geodesic_rows
+from rotkit.euler import _euler_rows
 
 # 300W-LP carries labels like this one whose yaw sits a fraction of a
 # millidegree off -90: the matrix itself is Gimbal-locked even though the
@@ -231,3 +234,34 @@ class TestConversions:
         for v in out:
             assert -math.pi < v <= math.pi
         assert rotation_angle(compose_rpy(out), src) < 1e-9
+
+
+class TestMiddleAngle:
+    """The middle angle is atan2 of its sine and cos = hypot of the last
+    angle's entries.  Taken as asin of the sine, it lost digits as the
+    middle angle neared +/-pi/2: its error grew as ulp / cos(middle)."""
+
+    @pytest.mark.parametrize("convention", ["pyr", "rpy"])
+    def test_just_outside_the_lock_band(self, convention):
+        compose, extract = {
+            "pyr": (compose_pyr, lambda r: extract_pyr(r).primary),
+            "rpy": (compose_rpy, lambda r: extract_rpy(r).value),
+        }[convention]
+        rng = np.random.default_rng(149)
+        worst = 0.0
+        for _ in range(1000):
+            cos = GIMBAL_EPS * rng.uniform(1.0 + 1e-6, 1.5)
+            middle = math.copysign(math.acos(cos), rng.uniform(-1.0, 1.0))
+            first, last = rng.uniform(-math.pi, math.pi, 2)
+            got = extract(compose((first, middle, last)))
+            worst = max(worst, abs(got[1] - middle))
+        assert worst <= 4e-16
+
+    def test_round_trip_over_haar_rotations(self):
+        rng = np.random.default_rng(151)
+        stack = np.stack([random_rotation(rng) for _ in range(100_000)])
+        for convention in ("pyr", "rpy"):
+            angles, locked = _euler_rows(stack, convention)
+            assert not locked.any()
+            worst = _geodesic_rows(_compose_rows(angles, convention), stack).max()
+            assert worst <= 1e-13

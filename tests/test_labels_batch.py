@@ -135,6 +135,14 @@ def _identity(obj, **view):
     return dict(kept, rotation=_IDENTITY, gimbal=False, **view)
 
 
+def _nested(depth):
+    """A list nested `depth` levels deep, itself included."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 # One contract violation each, applied to a valid decoded object.
 DEFECTS = {
     "bad_json": lambda obj: '{"id": "x", "rotation": [1, 0',
@@ -161,6 +169,8 @@ DEFECTS = {
         gimbal=True,
     ),
     "provenance_not_list": lambda obj: dict(obj, provenance={"kind": "rotate"}),
+    "provenance_too_deep": lambda obj: dict(
+        obj, provenance=[{"kind": "rotate", "ops": _nested(labels._PROVENANCE_DEPTH - 1)}]),
     "gimbal_not_bool": lambda obj: dict(obj, gimbal="false"),
     # the identity and its zero views, written with JSON booleans
     "bool_rotation": lambda obj: dict(obj, rotation=[v == 1.0 for v in _IDENTITY]),
@@ -174,6 +184,25 @@ DEFECTS = {
     "id_float": lambda obj: dict(obj, id=1.5),
     "id_list": lambda obj: dict(obj, id=[1, 2]),
 }
+
+
+def test_provenance_depth_limit(tmp_path):
+    # a provenance nested one level past the limit is refused on read, so
+    # that every record read can be written back
+    limit = labels._PROVENANCE_DEPTH
+    obj = {"id": "a", "rotation": _IDENTITY}
+    at_limit = dict(obj, provenance=[{"ops": _nested(limit - 2)}])
+    assert record_from_dict(at_limit).provenance == at_limit["provenance"]
+    past = dict(obj, id="b", provenance=[{"ops": [_nested(limit - 2)]}])
+    message = f"record 'b': provenance nests deeper than {limit} levels"
+    with pytest.raises(ValidationError) as err:
+        record_from_dict(past)
+    assert str(err.value) == message
+    ok = read_labels(_write(tmp_path / "ok.jsonl", [at_limit, at_limit]))
+    assert [rec.provenance for rec in ok] == [at_limit["provenance"]] * 2
+    path = _write(tmp_path / "deep.jsonl", [at_limit, past])
+    assert _outcome(read_labels, path) == (ValidationError, message)
+    assert _outcome(_chunk_read, path) == (ValidationError, message)
 
 
 class TestValidFiles:
@@ -279,8 +308,10 @@ class TestToleranceEdges:
     def test_view_at_its_tolerance_is_decided_record_by_record(
         self, tmp_path, small_chunks, spy, factor
     ):
-        # the batched distance of such a view may round to either side, so
-        # its chunk goes through record_from_dict
+        # the batched distance equals record_from_dict's bit for bit, so a
+        # view just inside its tolerance is accepted in bulk, and one just
+        # outside sends its chunk to record_from_dict, which refuses it:
+        # either way the verdict is the record-by-record one
         items = _objects(2 * CHUNK, seed=9)
         view = (0.2, -0.7, 1.1)
         rotation = compose_pyr(view) @ rot_z_left(factor * EULER_CONSISTENCY_TOL)
@@ -291,7 +322,7 @@ class TestToleranceEdges:
         }
         path = _write(tmp_path / "edge.jsonl", items)
         got = _outcome(self.read, path)
-        assert f"{path}:{CHUNK + 4}" in spy
+        assert (f"{path}:{CHUNK + 4}" in spy) == (factor > 1.0)
         spy.clear()
         expected = _outcome(_scalar_read, path)
         if factor < 1.0 and self.read is _chunk_read:
