@@ -21,7 +21,7 @@ from .core import _CONVENTIONS
 from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
 from .drawing import DrawSpec, _segments_rows, render_svg
 from .euler import _euler_rows
-from .evaluate import _evaluate_stacks
+from .evaluate import _evaluate_stacks, _rows_by_id
 from .labels import (
     ValidationError,
     _encode_columns,
@@ -184,6 +184,7 @@ def cmd_spiral(args) -> int:
 
 def cmd_pca(args) -> int:
     ids, rotations = _read_stack(args.input)
+    _rows_by_id(ids, args.input)  # its rows are keyed by id: refuse duplicates
     if len(ids) < 2:
         raise ValidationError("pca needs at least 2 records")
     result = pca_project(rotations.reshape(-1, 9), k=3)

@@ -12,16 +12,23 @@ views in degrees, checked against the matrix on read.  Floats are
 serialized with shortest round-trip decimals, so write-then-read
 reproduces rotations bit-exactly.
 
+Numbers are JSON numbers: a string, object or boolean in the rotation or
+a view is refused, never parsed.  Each field rule exists once and works on
+columns (the id and flag type sets, _float_rows for the numbers,
+_extras_error for the image path and provenance); record_from_dict applies
+it to one record and _chunk_batched to a chunk, so both accept the same
+records.
+
 Files are read CHUNK_RECORDS lines at a time.  Each chunk is decoded line
 by line and validated with batched kernels, and comes out as columns: its
 ids, one (n, 3, 3) rotation stack, image paths, Euler views, gimbal flags
 and provenance (_Chunk, from _read_chunk).  record_from_dict is the
-per-record contract, the only source of error messages, and decides any
-chunk that fails the batched checks.  read_labels builds PoseRecords
-from the chunks.  _columns is the one gather of PoseRecords into a _Chunk,
-used by the record-by-record reader and by write_labels, and one column
-encoder (_encode_columns), which takes a chunk's fields, writes every
-label file.
+per-record contract and the only source of error messages; only a chunk
+that holds a bad record is re-read with it, which raises the first error.
+read_labels builds PoseRecords from the chunks.  _columns is the one
+gather of PoseRecords into a _Chunk, used by the record-by-record reader
+and by write_labels, and one column encoder (_encode_columns), which takes
+a chunk's fields, writes every label file.
 
 The CLI runs its chunks on the fork map (_map_chunks for a label file,
 _map_ranges for spiral's poses): up to one os.fork worker per CPU, each
@@ -94,25 +101,6 @@ class PoseRecord:
     provenance: list = field(default_factory=list)
 
 
-def _numbers(value, what: str, rec_id: str) -> list:
-    # value as a list of floats; booleans are not numbers, though float()
-    # takes them
-    try:
-        numbers = [float(v) for v in value]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"record {rec_id!r}: bad {what}: {exc}") from None
-    if bool in map(type, value):
-        raise ValidationError(f"record {rec_id!r}: bad {what}: booleans are not numbers")
-    return numbers
-
-
-def _as_triple(value, what: str, rec_id: str) -> Tuple[float, float, float]:
-    t = tuple(_numbers(value, what, rec_id))
-    if len(t) != 3 or not all(math.isfinite(v) for v in t):
-        raise ValidationError(f"record {rec_id!r}: {what} must be 3 finite numbers")
-    return t
-
-
 # Types of a valid gimbal flag: JSON true or false; absent or null means false.
 _FLAG_TYPES = {bool, type(None)}
 # Types of a valid id, compared by type(): bool, a subclass of int, is refused.
@@ -142,21 +130,39 @@ def _too_deep(values) -> bool:
     return bool(_NESTED & set(map(type, values)))
 
 
-def _extras(obj: dict, rec_id: str) -> Tuple[Optional[str], list]:
-    # The non-numeric fields, checked once rotation, gimbal flag and views
-    # have passed: the image path (a string, or absent or null) and the
-    # provenance (a list of bounded depth; absent, null or empty means []).
-    image_path = obj.get("image_path")
-    if image_path is not None and not isinstance(image_path, str):
-        raise ValidationError(f"record {rec_id!r}: image_path must be a string or null")
-    provenance = obj.get("provenance") or []
-    if not isinstance(provenance, list):
-        raise ValidationError(f"record {rec_id!r}: provenance must be a list")
-    if _too_deep([provenance]):
-        raise ValidationError(
-            f"record {rec_id!r}: provenance nests deeper than {_PROVENANCE_DEPTH} levels"
-        )
-    return image_path, provenance
+def _extras_error(image_paths: list, provenance: list) -> Optional[str]:
+    # The rule for the non-numeric fields, on the columns of one record or
+    # of a chunk: each image path a string or None, each provenance a list
+    # of bounded depth (the callers read an absent, null or empty one as
+    # []).  Returns the message of the first rule broken, or None.
+    if set(map(type, image_paths)) - {str, type(None)}:
+        return "image_path must be a string or null"
+    if set(map(type, provenance)) - {list}:
+        return "provenance must be a list"
+    if _too_deep(provenance):
+        return f"provenance nests deeper than {_PROVENANCE_DEPTH} levels"
+    return None
+
+
+# Element types of a row of numbers: JSON numbers.  Booleans (which float()
+# and numpy would read as 1 and 0) and strings (which they would parse) are
+# refused.
+_NUMBER_TYPES = {float, int}
+
+
+def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
+    # rows as an (n, width) float array when every row is `width` finite
+    # JSON numbers, else None: the one rule for the rotation and the Euler
+    # views, of one record or of a chunk.
+    try:
+        if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+            return None
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a non-list, ragged rows, huge ints
+        return None
+    if a.shape != (len(rows), width):
+        return None
+    return a if np.isfinite(a).all() else None
 
 
 def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
@@ -169,10 +175,10 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
         raise ParseError(f"{where}: 'id' must be a string or an integer")
     rec_id = str(obj["id"])
 
-    flat = _numbers(obj["rotation"], "rotation", rec_id)
-    if len(flat) != 9 or not all(math.isfinite(v) for v in flat):
-        raise ValidationError(f"record {rec_id!r}: rotation must be 9 finite numbers")
-    rotation = np.array(flat).reshape(3, 3)
+    flat = _float_rows([obj["rotation"]], 9)
+    if flat is None:
+        raise ValidationError(f"record {rec_id!r}: rotation must be 9 finite JSON numbers")
+    rotation = flat.reshape(3, 3)
     if not is_rotation(rotation, FILE_ORTHO_TOL):
         raise ValidationError(
             f"record {rec_id!r}: rotation fails the SO(3) check at {FILE_ORTHO_TOL:g}"
@@ -187,7 +193,12 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
     for field_name, convention in _VIEWS:
         view = None
         if obj.get(field_name) is not None:
-            view = _as_triple(obj[field_name], field_name, rec_id)
+            row = _float_rows([obj[field_name]], 3)
+            if row is None:
+                raise ValidationError(
+                    f"record {rec_id!r}: {field_name} must be 3 finite JSON numbers"
+                )
+            view = tuple(row[0].tolist())
             composed = _compose([math.radians(v) for v in view], convention)
             dist = geodesic_distance(composed, rotation, tol=FILE_ORTHO_TOL)
             if dist > tol:
@@ -195,7 +206,10 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
                                       f"(geodesic {dist:.3e} rad > {tol:g})")
         views.append(view)
 
-    image_path, provenance = _extras(obj, rec_id)
+    image_path, provenance = obj.get("image_path"), obj.get("provenance") or []
+    error = _extras_error([image_path], [provenance])
+    if error:
+        raise ValidationError(f"record {rec_id!r}: {error}")
     # positional: keywords cost more
     return PoseRecord(rec_id, rotation, image_path, *views, bool(gimbal), provenance)
 
@@ -252,26 +266,6 @@ def _encode_columns(
             repeat(None) if provenance is None else provenance,
         )
     )
-
-
-# Element types of a row _float_rows takes in bulk: JSON numbers.  Booleans
-# (which numpy would read as 0 and 1) go to record_from_dict and are refused.
-_NUMBER_TYPES = {float, int}
-
-
-def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
-    # rows as an (n, width) float array when every row is `width` finite
-    # JSON numbers, else None.  Strings, nulls, booleans and ragged rows are
-    # left to record_from_dict, which owns the error messages.
-    try:
-        if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
-            return None
-        a = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # a non-list, ragged rows, huge ints
-        return None
-    if a.shape != (len(rows), width):
-        return None
-    return a if np.isfinite(a).all() else None
 
 
 def _chunk_views(column: list, rotations, convention: str, tols) -> Optional[list]:
@@ -337,12 +331,9 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
             return None
         views.append(column)
 
-    # _extras' checks, on the whole chunk
     image_paths = [obj.get("image_path") for obj in objs]
     provenance = [obj.get("provenance") or [] for obj in objs]
-    if set(map(type, image_paths)) - {str, type(None)} or set(map(type, provenance)) - {list}:
-        return None
-    if _too_deep(provenance):
+    if _extras_error(image_paths, provenance):
         return None
     return _Chunk(list(map(str, ids)), rotations, image_paths, tuple(views),
                   list(map(bool, flags)), provenance)

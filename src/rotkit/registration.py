@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ORTHO_TOL, _quat_to_matrix, require_rotation
+from .core import ORTHO_TOL, _matrix, _mul, _quat_to_matrix, require_rotation
 from .eigen import symmetric_eigh
 
 E_REF = np.diag([1.0, -1.0, -1.0])
@@ -111,4 +111,7 @@ def panoptic_rotation(extrinsic, r_horn) -> np.ndarray:
     else:
         c = require_rotation(extrinsic, tol=1e-6, what="extrinsic")
     h = require_rotation(r_horn, tol=ORTHO_TOL, what="r_horn")
-    return E_REF @ c @ h
+    # C_extr @ R_Horn entry by entry (_mul); E_ref = diag(1, -1, -1) then
+    # negates rows 2 and 3, which is exact
+    m = _mul(c.reshape(9).tolist(), h.reshape(9).tolist())
+    return _matrix(m[:3] + [-v for v in m[3:]])

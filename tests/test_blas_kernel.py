@@ -3,9 +3,9 @@
 numpy's OpenBLAS picks a kernel for the CPU at start-up, and
 OPENBLAS_CORETYPE forces one in the process that sets it.  The same corpus
 is built in two child processes, one with the default kernel and one with
-Prescott's, which has no fused multiply-add, and every file must match.
-`pca` is left out: it goes through LAPACK's eigh, which still depends on
-the kernel.
+Prescott's, which has no fused multiply-add, and every file must match;
+so must the library's Panoptic compositions.  `pca` is left out: it goes
+through LAPACK's eigh, which still depends on the kernel.
 """
 
 import hashlib
@@ -40,15 +40,34 @@ run("draw", "--input", f"{out}/aug3.jsonl", "--output", f"{out}/svg")
 """
 
 
-def _build(out_dir, coretype):
-    """md5 of every file the pipeline writes into out_dir, by relative path."""
+# md5 of 2000 Panoptic compositions of rotations made with compose_pyr,
+# which is entry-wise, so that only panoptic_rotation could follow the kernel
+PANOPTIC = """
+import hashlib
+import numpy as np
+from rotkit import compose_pyr, panoptic_rotation
+
+angles = np.random.default_rng(5).uniform(-3.0, 3.0, (2000, 2, 3))
+out = [panoptic_rotation(compose_pyr(c), compose_pyr(h)) for c, h in angles]
+print(hashlib.md5(np.array(out).tobytes()).hexdigest())
+"""
+
+
+def _run(coretype, *argv):
+    """The stdout of python -c argv with OPENBLAS_CORETYPE=coretype (None:
+    the default kernel)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
+    return subprocess.run([sys.executable, "-c", *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=600).stdout
+
+
+def _build(out_dir, coretype):
+    """md5 of every file the pipeline writes into out_dir, by relative path."""
     os.makedirs(out_dir)
-    subprocess.run([sys.executable, "-c", PIPELINE, str(out_dir)], env=env, check=True,
-                   capture_output=True, timeout=600)
+    _run(coretype, PIPELINE, str(out_dir))
     digests = {}
     for dirpath, _, names in os.walk(out_dir):
         for name in names:
@@ -64,3 +83,9 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     assert len(default) == 7 + 2200
     changed = sorted(name for name in default if default[name] != prescott.get(name))
     assert changed == [], f"{len(changed)} files differ, among them {changed[:5]}"
+
+
+def test_panoptic_rotation_does_not_depend_on_the_blas_kernel():
+    default = _run(None, PANOPTIC)
+    assert len(default) == 33
+    assert _run("Prescott", PANOPTIC) == default

@@ -136,6 +136,19 @@ def test_undecodable_line_is_one_error_line(tmp_path, monkeypatch, capfd, defect
     _assert_no_children()
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_pca_refuses_duplicate_ids(tmp_path, monkeypatch, capsys, cores):
+    # 7 and "7" both read as id "7", in different chunks
+    items = _objects(N, seed=1)
+    items[2], items[CHUNK + 7] = dict(items[2], id=7), dict(items[CHUNK + 7], id="7")
+    bad = _write(tmp_path / "dup.jsonl", items)
+    code, out, err, files = _run(COMMANDS["pca"], {"IN": str(bad)}, tmp_path / "out", cores,
+                                 monkeypatch, capsys)
+    assert (code, out, files) == (1, "", {})
+    assert err == f"rotkit: error: {bad}: duplicate id '7'\n"
+    _assert_no_children()
+
+
 @pytest.mark.parametrize("how", ["exit", "kill"])
 @pytest.mark.parametrize("command", ["augment", "convert-pyr", "eval-truth", "draw"])
 def test_dead_worker_fails_the_command(tmp_path, good, monkeypatch, capsys, how, command):

@@ -199,7 +199,8 @@ class TestValidation:
     def test_booleans_are_not_numbers(self, tmp_path, field, value):
         # the identity with zero views: only the booleans are wrong
         obj = dict({"id": "b", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, **{field: value})
-        want = f"record 'b': bad {field}: booleans are not numbers"
+        width = 9 if field == "rotation" else 3
+        want = f"record 'b': {field} must be {width} finite JSON numbers"
         with pytest.raises(ValidationError, match=want):
             record_from_dict(obj)
         path = tmp_path / "bool.jsonl"

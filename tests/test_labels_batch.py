@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotkit import (
     ParseError,
@@ -135,6 +137,9 @@ def _identity(obj, **view):
     return dict(kept, rotation=_IDENTITY, gimbal=False, **view)
 
 
+_ZERO_VIEWS = {"euler_pyr_deg": [0.0, 0.0, 0.0], "euler_rpy_deg": [0.0, 0.0, 0.0]}
+
+
 def _nested(depth):
     """A list nested `depth` levels deep, itself included."""
     value = []
@@ -176,6 +181,11 @@ DEFECTS = {
     "bool_rotation": lambda obj: dict(obj, rotation=[v == 1.0 for v in _IDENTITY]),
     "bool_pyr_view": lambda obj: _identity(obj, euler_pyr_deg=[False, 0.0, 0.0]),
     "bool_rpy_view": lambda obj: _identity(obj, euler_rpy_deg=[0.0, 0.0, False]),
+    # the identity and its zero views, written with JSON strings
+    "string_rotation": lambda obj: dict(_identity(obj, **_ZERO_VIEWS), rotation="100010001"),
+    "numeric_string_rotation": lambda obj: dict(
+        _identity(obj, **_ZERO_VIEWS), rotation=[str(int(v)) for v in _IDENTITY]),
+    "string_pyr_view": lambda obj: _identity(obj, euler_pyr_deg="000"),
     "image_path_object": lambda obj: dict(obj, image_path={"a": 1}),
     "image_path_number": lambda obj: dict(obj, image_path=7),
     "int_past_float": lambda obj: dict(obj, rotation=[10**400] + obj["rotation"][1:]),
@@ -379,3 +389,64 @@ class TestSlightlyScaledMatrices:
         got = _outcome(read_labels, path)
         assert got == _outcome(_scalar_read, path)
         assert got[0] is ValidationError and "geodesic 5.000e-04 rad" in got[1]
+
+
+# Any JSON value: scalars, and lists and objects of them; lists of 3 and of
+# 9 scalars are drawn on their own, so that views and rotations of the right
+# length, in numbers or not, come up often.
+_SCALARS = st.none() | st.booleans() | st.integers(-1, 1) | st.floats() | st.text(max_size=3)
+_JSON_VALUES = (
+    st.recursive(
+        _SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=8,
+    )
+    | st.lists(_SCALARS, min_size=3, max_size=3)
+    | st.lists(_SCALARS, min_size=9, max_size=9)
+)
+_FIELDS = ("rotation", "euler_pyr_deg", "euler_rpy_deg", "gimbal", "image_path", "provenance")
+_VALID = _objects(4, seed=13)
+
+
+def _respelled(numbers):
+    """A valid list of numbers written otherwise: as strings entry by entry
+    or all in one, as booleans, or as an object's keys."""
+    return st.sampled_from([
+        [str(int(v)) for v in numbers],
+        [repr(float(v)) for v in numbers],
+        "".join(str(int(v)) for v in numbers),
+        [bool(v) for v in numbers],
+        dict.fromkeys(map(str, numbers), 0),
+    ])
+
+
+def _chunk_outcome(read):
+    try:
+        chunk = read()
+    except Exception as exc:  # noqa: BLE001 - the type is the point
+        return type(exc), str(exc)
+    return chunk.rotations.tobytes(), labels._encode_columns(*chunk)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(_FIELDS), data=st.data(), where=st.integers(0, 4))
+def test_routes_agree_on_any_field_value(field, data, where):
+    # the identity with its zero views, one field replaced, among valid records
+    obj = _identity({"id": "h", "image_path": "h.png", "provenance": [{"kind": "flip"}]},
+                    **_ZERO_VIEWS)
+    values = _JSON_VALUES
+    if field in ("rotation", "euler_pyr_deg", "euler_rpy_deg"):
+        values |= _respelled(obj[field])
+    obj[field] = data.draw(values)
+    items = _VALID[:where] + [obj] + _VALID[where:]
+    lines = [(lineno, json.dumps(item)) for lineno, item in enumerate(items, start=1)]
+    objs = [json.loads(line) for _, line in lines]
+    one_by_one = _chunk_outcome(lambda: labels._chunk_one_by_one("f", lines, objs))
+    assert _chunk_outcome(lambda: labels._read_chunk("f", lines)) == one_by_one
+    # the batched rules accept exactly the chunks record_from_dict accepts
+    batched = labels._chunk_batched(objs)
+    if isinstance(one_by_one[0], type):
+        assert batched is None
+    else:
+        assert (batched.rotations.tobytes(), labels._encode_columns(*batched)) == one_by_one
