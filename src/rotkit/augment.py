@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import _HALF_PI, _cos_sin, _matrix, _mul, _require_rotations, require_rotation
+from .drawing import _check_size
 
 _U64 = (1 << 64) - 1
 
@@ -261,8 +262,7 @@ def map_pixel(op: AugmentOp, pt, width: float, height: float) -> PixelPoint:
     clockwise rotation by phi and a flip across the visually measured
     L_theta use the y-negated forms of the usual plane transforms.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("width and height must be positive")
+    _check_size(width, height)
     x, y = float(pt[0]), float(pt[1])
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     dx, dy = x - cx, y - cy

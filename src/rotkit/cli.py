@@ -4,7 +4,7 @@ Subcommands operate on JSON Lines label files and emit labels, CSV, or
 SVG.  Every command is a pure function of its inputs, flags and seed:
 identical invocations produce byte-identical output files on any BLAS
 kernel, except `pca` (LAPACK's eigh); across CPUs, glibc's FMA sin, cos
-and atan2 and numpy's SIMD arctan2 in `eval` can still change last bits.
+and atan2 can still change last bits.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from .augment import AugmentOp, _augment_rows
 from .core import _CONVENTIONS
 from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
-from .drawing import DrawSpec, _segments_rows, render_svg
+from .drawing import DrawSpec, _check_size, _segments_rows, render_svg
 from .euler import _euler_rows
 from .evaluate import _evaluate_stacks, _rows_by_id
 from .labels import (
@@ -213,8 +213,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_draw(args) -> int:
-    # every chunk is read before any file is written: the file-name check
-    # needs all ids
+    # the flags are checked before the input is read, and every chunk is
+    # read before any file is written: the file-name check needs all ids
+    _check_size(args.width, args.height)
+    center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
+    spec = DrawSpec(center=center, size=args.size)
+
     def columns(start, chunk):
         return chunk.ids, chunk.image_paths, chunk.rotations
 
@@ -223,8 +227,6 @@ def cmd_draw(args) -> int:
         ids += chunk_ids
         image_paths += chunk_paths
         stacks.append(rotations)
-    center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
-    spec = DrawSpec(center=center, size=args.size)
     names = [_ID_SAFE.sub("_", rec_id) + ".svg" for rec_id in ids]
     ids_by_name = {}
     for rec_id, name in zip(ids, names):

@@ -197,9 +197,9 @@ def geodesic_distance(a, b, tol: float = ORTHO_TOL) -> float:
 
 # Batched kernels over (n, 3, 3) stacks for the label readers, writers and
 # CLI commands.  Each evaluates the scalar kernel's expression (_mul,
-# _so3_gaps, _det) on the columns a.reshape(-1, 9).T, with sines and
-# cosines from `math`: every row, residual and distance equals the scalar
-# one byte for byte, and no product goes through BLAS.
+# _so3_gaps, _det) on the columns a.reshape(-1, 9).T, with sines, cosines
+# and arctangents from `math`: every row, residual and distance equals the
+# scalar one byte for byte, and no product goes through BLAS.
 
 
 def _cos_sin(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,12 +219,13 @@ def _geodesic_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 
     theta = 2 atan2(sin(theta/2), cos(theta/2)) with, for rotations,
     sin^2 = |a - b|_F^2 / 8 and cos^2 = (1 + tr(a b^T)) / 4.  The sine comes
-    from the difference itself, so there is no arccos floor near 0.
+    from the difference itself, so there is no arccos floor near 0.  The
+    arctangent is math.atan2 (numpy's SIMD loop may differ in the last bit).
     """
     d = ra - rb
-    s2 = _sum9(d * d) / 8.0
-    c2 = (1.0 + _sum9(ra * rb)) / 4.0
-    return 2.0 * np.arctan2(np.sqrt(s2), np.sqrt(np.maximum(0.0, c2)))
+    s = np.sqrt(_sum9(d * d) / 8.0).tolist()
+    c = np.sqrt(np.maximum(0.0, (1.0 + _sum9(ra * rb)) / 4.0)).tolist()
+    return 2.0 * np.array(list(map(math.atan2, s, c)))
 
 
 def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:

@@ -117,6 +117,12 @@ def _escape_attr(text: str) -> str:
     )
 
 
+def _check_size(width: float, height: float) -> None:
+    """Raise ValueError unless width and height are finite and positive."""
+    if not (0 < width < math.inf and 0 < height < math.inf):  # NaN fails too
+        raise ValueError("width and height must be finite and positive")
+
+
 def render_svg(
     segs: Sequence[Segment],
     width: float,
@@ -128,8 +134,7 @@ def render_svg(
     The optional background image is referenced by path only, never
     decoded.  Identical inputs produce byte-identical output.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("width and height must be positive")
+    _check_size(width, height)
     w, h = _num(width), _num(height)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

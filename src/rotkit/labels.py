@@ -31,7 +31,7 @@ and by write_labels, and one column encoder (_encode_columns), which takes
 a chunk's fields, writes every label file.
 
 The CLI runs its chunks on the fork map (_map_chunks for a label file,
-_map_ranges for spiral's poses): up to one os.fork worker per CPU, each
+_map_ranges for spiral's poses): one os.fork worker per CPU, each
 reading the file itself and working on every W-th chunk, with the results
 taken back in file order and the first error in file order raised.  The
 workers of `augment`, `convert` and `spiral` return encoded text, those of
@@ -130,11 +130,18 @@ def _too_deep(values) -> bool:
     return bool(_NESTED & set(map(type, values)))
 
 
+def _provenance(obj: dict):
+    # A record's provenance as read: [] when absent or null, else the value
+    # itself, which _extras_error then checks (false, 0, "" and {} fail).
+    value = obj.get("provenance")
+    return [] if value is None else value
+
+
 def _extras_error(image_paths: list, provenance: list) -> Optional[str]:
     # The rule for the non-numeric fields, on the columns of one record or
-    # of a chunk: each image path a string or None, each provenance a list
-    # of bounded depth (the callers read an absent, null or empty one as
-    # []).  Returns the message of the first rule broken, or None.
+    # of a chunk: each image path a string or None, each provenance (as
+    # _provenance reads it) a list of bounded depth.  Returns the message of
+    # the first rule broken, or None.
     if set(map(type, image_paths)) - {str, type(None)}:
         return "image_path must be a string or null"
     if set(map(type, provenance)) - {list}:
@@ -206,7 +213,7 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
                                       f"(geodesic {dist:.3e} rad > {tol:g})")
         views.append(view)
 
-    image_path, provenance = obj.get("image_path"), obj.get("provenance") or []
+    image_path, provenance = obj.get("image_path"), _provenance(obj)
     error = _extras_error([image_path], [provenance])
     if error:
         raise ValidationError(f"record {rec_id!r}: {error}")
@@ -332,7 +339,7 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
         views.append(column)
 
     image_paths = [obj.get("image_path") for obj in objs]
-    provenance = [obj.get("provenance") or [] for obj in objs]
+    provenance = list(map(_provenance, objs))
     if _extras_error(image_paths, provenance):
         return None
     return _Chunk(list(map(str, ids)), rotations, image_paths, tuple(views),
@@ -407,12 +414,12 @@ def _read_chunks(path) -> Iterator[_Chunk]:
         yield _read_chunk(path, lines)
 
 
-def _workers(chunks: int) -> int:
-    # One worker per CPU this process may run on, at most one per chunk;
+def _workers() -> int:
+    # One worker per CPU this process may run on, even past the chunk count;
     # 1 (in-process) where os.fork or the affinity mask is missing.
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), chunks))
+    return len(os.sched_getaffinity(0))
 
 
 def _send(out, message) -> None:
@@ -520,28 +527,19 @@ def _fork_map(groups, work, workers: int) -> Iterator:
                 os.waitpid(pid, 0)
 
 
-def _line_count(path) -> int:
-    # Lines in a regular file, counted by newline; 1 for anything else (a
-    # pipe, a device), which is opened once, by the reader, and read
-    # in-process.
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return 1
-    with open(path, "rb") as fh:
-        return 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
-
-
 def _map_chunks(path, work) -> Iterator:
     """work(start, chunk) for each validated chunk of a label file, in file
     order, where start is the index of the chunk's first record; on the
-    fork map (_fork_map), one worker per CPU, at most one per chunk.
+    fork map (_fork_map), one worker per CPU, or in-process for anything
+    but a regular file (a pipe or a device, which is opened once).
 
     The errors and their order are those of _read_chunks.
     """
-    chunks = -(-_line_count(path) // CHUNK_RECORDS)
+    regular = stat.S_ISREG(os.stat(path).st_mode)
     return _fork_map(
         lambda: _line_chunks(path),
         lambda k, lines: work(k * CHUNK_RECORDS, _read_chunk(path, lines)),
-        _workers(chunks),
+        _workers() if regular else 1,
     )
 
 
@@ -552,7 +550,7 @@ def _map_ranges(count: int, work) -> Iterator:
     return _fork_map(
         lambda: range(0, count, step),
         lambda k, start: work(start, min(count, start + step)),
-        _workers(-(-count // step)),
+        _workers(),
     )
 
 

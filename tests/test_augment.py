@@ -261,6 +261,9 @@ class TestMapPixel:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             map_pixel(AugmentOp("rotate", 0.1), (0.0, 0.0), 0, 10)
+        for width, height in [(math.nan, 10), (10, math.inf), (-math.inf, math.nan)]:
+            with pytest.raises(ValueError, match="finite and positive"):
+                map_pixel(AugmentOp("rotate", 0.1), (0.0, 0.0), width, height)
 
 
 class TestPixelLabelConsistency:

@@ -283,6 +283,26 @@ class TestDrawCommand:
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--width", "nan", "--height", "inf", "--center", "10", "10"],
+         "width and height must be finite and positive"),
+        (["--width", "nan"], "width and height must be finite and positive"),
+        (["--height", "-1"], "width and height must be finite and positive"),
+        (["--size", "0"], "size must be positive"),
+        (["--center", "inf", "0"], "center must be finite"),
+    ])
+    @pytest.mark.parametrize("source", ["valid", "missing"])
+    def test_bad_flag_fails_before_the_input_is_read(self, tmp_path, capsys, flags, message,
+                                                      source):
+        labels = tmp_path / "absent.jsonl"
+        if source == "valid":
+            labels = _write(tmp_path, "src.jsonl", [PoseRecord(id="a", rotation=np.eye(3))])
+        out_dir = tmp_path / "svg"
+        assert main(["draw", "--input", str(labels), "--output", str(out_dir), *flags]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"rotkit: error: {message}\n")
+        assert not out_dir.exists()
+
 
 class TestDeterminismAndSeeds:
     def test_random_augment_rerun_is_byte_identical(self, tmp_path):

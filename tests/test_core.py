@@ -284,6 +284,27 @@ class TestBatchedKernels:
             ]
             assert batch.tobytes() == np.array(scalar).tobytes()
 
+    def test_geodesic_rows_use_math_atan2(self):
+        # 2 atan2(sqrt(s2), sqrt(c2)) on Python floats, summed in _sum9's
+        # order: numpy's arctan2 would make the bytes follow the CPU's SIMD
+        # level (its AVX-512 loop rounds differently from its baseline loop)
+        rng = np.random.default_rng(59)
+        a = np.stack([random_rotation(rng) for _ in range(3000)])
+        b = np.stack([random_rotation(rng) for _ in range(3000)])
+        b[:200] = a[:200]
+        eps = np.concatenate([np.zeros(50), np.logspace(-12, -3, 950)])
+        b[200:1200] = [x @ rot_z_left(math.pi - e) for x, e in zip(a[200:1200], eps)]
+
+        def sum9(v):
+            return (v[0] + v[1] + v[2]) + (v[3] + v[4] + v[5]) + (v[6] + v[7] + v[8])
+
+        want = []
+        for x, y in zip(a.reshape(-1, 9).tolist(), b.reshape(-1, 9).tolist()):
+            s2 = sum9([(u - v) * (u - v) for u, v in zip(x, y)]) / 8.0
+            c2 = (1.0 + sum9([u * v for u, v in zip(x, y)])) / 4.0
+            want.append(2.0 * math.atan2(math.sqrt(s2), math.sqrt(max(0.0, c2))))
+        assert _geodesic_rows(a, b).tobytes() == np.array(want).tobytes()
+
     def test_geodesic_batch_names_bad_row(self):
         a = np.stack([np.eye(3), 2.0 * np.eye(3)])
         with pytest.raises(ValueError, match="second argument row 1"):

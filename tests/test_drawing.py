@@ -156,6 +156,9 @@ class TestRenderSvg:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             render_svg(self._segments(), 0, 450)
+        for width, height in [(math.nan, 450), (450, math.inf), (-math.inf, math.nan)]:
+            with pytest.raises(ValueError, match="finite and positive"):
+                render_svg(self._segments(), width, height)
 
     def test_golden_file(self):
         svg = render_svg(self._segments(), 450, 450)

@@ -104,6 +104,25 @@ def test_valid_input_gives_the_same_bytes(tmp_path, good, monkeypatch, capsys, c
     _assert_no_children()
 
 
+# inputs with fewer chunks than workers: each worker with no chunk reads the
+# input, reports that it is done and exits
+IDLE = {"empty": [], "blank": ["", "  ", "\t"], "one": _objects(1, seed=1)}
+
+
+@pytest.mark.parametrize("command, source", [
+    ("spiral", None), *((command, source) for command in COMMANDS for source in IDLE)])
+def test_idle_workers_change_nothing(tmp_path, monkeypatch, capsys, command, source):
+    if command == "spiral":
+        argv, paths = ["spiral", "--count", "1", "--output", "OUT/out.jsonl"], {}
+    else:
+        small = str(_write(tmp_path / f"{source}.jsonl", IDLE[source]))
+        argv, paths = COMMANDS[command], {"IN": small, "GOOD": small}
+    want = _run(argv, paths, tmp_path / "one", 1, monkeypatch, capsys)
+    got = _run(argv, paths, tmp_path / "many", 3, monkeypatch, capsys)
+    assert got == want
+    _assert_no_children()
+
+
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_defect_gives_the_same_error(tmp_path, good, monkeypatch, capsys, defect):
     for where in WHERE:

@@ -221,6 +221,23 @@ class TestValidation:
         assert record_from_dict(dict(obj, image_path=None)).image_path is None
         assert record_from_dict(dict(obj, image_path="a.png")).image_path == "a.png"
 
+    @pytest.mark.parametrize("value", [False, 0, "", {}])
+    def test_falsy_provenance_must_be_a_list(self, tmp_path, value):
+        obj = {"id": "q", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "provenance": value}
+        want = "record 'q': provenance must be a list"
+        with pytest.raises(ValidationError, match=want):
+            record_from_dict(obj)
+        path = tmp_path / "prov.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=want):
+            read_labels(path)
+        absent = {k: v for k, v in obj.items() if k != "provenance"}
+        path.write_text(json.dumps(dict(obj, provenance=None)) + "\n" + json.dumps(absent) + "\n",
+                        encoding="utf-8")
+        assert [rec.provenance for rec in read_labels(path)] == [[], []]
+        assert record_from_dict(dict(obj, provenance=None)).provenance == []
+        assert record_from_dict(absent).provenance == []
+
     def test_null_gimbal_flag_means_false(self, tmp_path):
         r = compose_pyr((0.3, 0.2, 0.1))
         path = tmp_path / "flag.jsonl"

@@ -174,6 +174,9 @@ DEFECTS = {
         gimbal=True,
     ),
     "provenance_not_list": lambda obj: dict(obj, provenance={"kind": "rotate"}),
+    # falsy values that are not lists: only absent or null reads as []
+    "false_provenance": lambda obj: dict(obj, provenance=False),
+    "empty_object_provenance": lambda obj: dict(obj, provenance={}),
     "provenance_too_deep": lambda obj: dict(
         obj, provenance=[{"kind": "rotate", "ops": _nested(labels._PROVENANCE_DEPTH - 1)}]),
     "gimbal_not_bool": lambda obj: dict(obj, gimbal="false"),
