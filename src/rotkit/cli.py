@@ -19,10 +19,11 @@ import numpy as np
 from .augment import AugmentOp, _augment_rows
 from .core import _CONVENTIONS
 from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
-from .drawing import DrawSpec, _check_size, _segments_rows, render_svg
+from .drawing import _NOT_XML_CHAR, DrawSpec, _check_size, _segments_rows, render_svg
 from .euler import _euler_rows
 from .evaluate import _evaluate_stacks, _rows_by_id
 from .labels import (
+    CHUNK_RECORDS,
     ValidationError,
     _encode_columns,
     _map_chunks,
@@ -146,8 +147,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred_path, truth_path = args.input
-    report = _evaluate_stacks(*_read_stack(pred_path), *_read_stack(truth_path))
+    (pred_ids, _, pred), (truth_ids, _, truth) = map(_read_stack, args.input)
+    report = _evaluate_stacks(pred_ids, pred, truth_ids, truth)
     if args.output:
         _write_csv(args.output, "id,geodesic_rad", *zip(*report.per_record))
     print(
@@ -183,7 +184,7 @@ def cmd_spiral(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    ids, rotations = _read_stack(args.input)
+    ids, _, rotations = _read_stack(args.input)
     _rows_by_id(ids, args.input)  # its rows are keyed by id: refuse duplicates
     if len(ids) < 2:
         raise ValidationError("pca needs at least 2 records")
@@ -198,7 +199,7 @@ def cmd_pca(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _, rotations = _read_stack(args.input)
+    *_, rotations = _read_stack(args.input)
     stats = euler_range_stats(rotations)
     if args.output:
         columns = zip(stats.pitch_deg, stats.yaw_deg, stats.roll_deg)
@@ -213,23 +214,24 @@ def cmd_stats(args) -> int:
 
 
 def cmd_draw(args) -> int:
-    # the flags are checked before the input is read, and every chunk is
-    # read before any file is written: the file-name check needs all ids
+    # the flags are checked before the input is read, and every record
+    # before any file is written: each file name's length (in bytes, as the
+    # names are ASCII) against the limit of the nearest existing directory,
+    # each image path, and the names together for collisions
     _check_size(args.width, args.height)
     center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
     spec = DrawSpec(center=center, size=args.size)
-
-    def columns(start, chunk):
-        return chunk.ids, chunk.image_paths, chunk.rotations
-
-    ids, image_paths, stacks = [], [], []
-    for chunk_ids, chunk_paths, rotations in _map_chunks(args.input, columns):
-        ids += chunk_ids
-        image_paths += chunk_paths
-        stacks.append(rotations)
+    ids, image_paths, rotations = _read_stack(args.input)
     names = [_ID_SAFE.sub("_", rec_id) + ".svg" for rec_id in ids]
-    ids_by_name = {}
-    for rec_id, name in zip(ids, names):
+    parent, ids_by_name = os.path.abspath(args.output), {}
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    name_max = os.pathconf(parent, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+    for rec_id, name, href in zip(ids, names, image_paths):
+        if len(name) > name_max:
+            raise ValidationError(f"id {rec_id!r}: file name longer than {name_max} bytes")
+        if href is not None and _NOT_XML_CHAR.search(href):
+            raise ValidationError(f"record {rec_id!r}: image_path {href!r} is not valid XML 1.0")
         ids_by_name.setdefault(name, []).append(rec_id)
     for name, same in ids_by_name.items():
         if len(same) > 1:
@@ -237,7 +239,8 @@ def cmd_draw(args) -> int:
                 f"ids {', '.join(map(repr, same))} all map to file {name!r}"
             )
     os.makedirs(args.output, exist_ok=True)
-    rows = (segs for stack in stacks for segs in _segments_rows(stack, spec))
+    rows = (segs for start in range(0, len(ids), CHUNK_RECORDS)
+            for segs in _segments_rows(rotations[start:start + CHUNK_RECORDS], spec))
     for name, href, segs in zip(names, image_paths, rows):
         svg = render_svg(segs, args.width, args.height, background_href=href)
         with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:

@@ -145,12 +145,9 @@ def pca_project(vectors: Iterable, k: int = 3) -> PcaResult:
     cov = centered.T @ centered / (n - 1)
     values, vecs = symmetric_eigh(cov)
     values = np.maximum(values, 0.0)
-    comps = np.empty((k, d))
-    for j in range(k):
-        v = vecs[:, j]
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            v = -v
-        comps[j] = v
+    top = vecs[:, :k]
+    signs = np.where(top[np.abs(top).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    comps = (top * signs).T.copy()  # C order: it picks centered @ comps.T's BLAS call
     projected = centered @ comps.T
     return PcaResult(comps, values[:k].copy(), projected, mean, values)
 

@@ -9,6 +9,7 @@ the two routes agree and serve as mutual cross-checks.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -22,6 +23,8 @@ AXIS_COLORS = ("#FF0000", "#00FF00", "#0000FF")
 _T_SIGNS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
 
 Segment = Tuple[Tuple[float, float], Tuple[float, float]]
+# A character outside XML 1.0's Char production, which no SVG can carry.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class AxisProjection(NamedTuple):
@@ -132,9 +135,12 @@ def render_svg(
     """Deterministic SVG 1.1 document with one stroked line per segment.
 
     The optional background image is referenced by path only, never
-    decoded.  Identical inputs produce byte-identical output.
+    decoded, and must hold only characters that XML 1.0 allows (ValueError
+    otherwise).  Identical inputs produce byte-identical output.
     """
     _check_size(width, height)
+    if background_href is not None and _NOT_XML_CHAR.search(background_href):
+        raise ValueError(f"background_href {background_href!r} is not valid XML 1.0")
     w, h = _num(width), _num(height)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -47,24 +47,18 @@ def _truth_rows(pred_ids: Sequence[str], truth_ids: Sequence[str]) -> List[int]:
     return [truth[rec_id] for rec_id in pred_ids]
 
 
-def _report(ids: Sequence[str], pred, truth) -> EvalReport:
-    # paired (n, 3, 3) stacks; records come from label files, which admit
-    # the looser file tolerance
+def _evaluate_stacks(pred_ids, pred: np.ndarray, truth_ids, truth: np.ndarray) -> EvalReport:
+    """mean_geodesic_error over ids and (n, 3, 3) stacks, as a label file
+    reads; records come from label files, which admit the looser file
+    tolerance."""
+    truth = truth[_truth_rows(pred_ids, truth_ids)]
     distances = _geodesic_batch(pred, truth, tol=FILE_ORTHO_TOL).tolist()
-    # statistics.median's arithmetic, without importing statistics (and
-    # with it fractions and decimal) into every command
-    s, mid = sorted(distances), len(distances) // 2
     return EvalReport(
         mean=sum(distances) / len(distances),
-        median=s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2,
+        median=float(np.median(distances)),
         max=max(distances),
-        per_record=list(zip(ids, distances)),
+        per_record=list(zip(pred_ids, distances)),
     )
-
-
-def _evaluate_stacks(pred_ids, pred: np.ndarray, truth_ids, truth: np.ndarray) -> EvalReport:
-    """mean_geodesic_error over ids and (n, 3, 3) stacks, as a label file reads."""
-    return _report(pred_ids, pred, truth[_truth_rows(pred_ids, truth_ids)])
 
 
 def mean_geodesic_error(

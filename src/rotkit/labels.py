@@ -35,8 +35,9 @@ _map_ranges for spiral's poses): one os.fork worker per CPU, each
 reading the file itself and working on every W-th chunk, with the results
 taken back in file order and the first error in file order raised.  The
 workers of `augment`, `convert` and `spiral` return encoded text, those of
-`eval`, `stats`, `pca` and `draw` ids plus an (n, 3, 3) stack; only the
-parent writes.  With one worker the same calls run in-process.
+`eval`, `stats`, `pca` and `draw` ids, image paths and an (n, 3, 3) stack
+(_read_stack); only the parent writes.  With one worker the same calls
+run in-process.
 """
 
 import json
@@ -113,20 +114,11 @@ _NESTED = {list, dict}
 
 def _too_deep(values) -> bool:
     # True when a list or dict among values nests over _PROVENANCE_DEPTH
-    # levels.  A level of lists alone or of dicts alone is scanned in C.
+    # levels.  Each pass steps one level down: the lists' items and the
+    # dicts' values.
     for _ in range(_PROVENANCE_DEPTH):
-        kinds = set(map(type, values))
-        if kinds == {dict}:
-            if not _NESTED & set(map(type, chain.from_iterable(map(dict.values, values)))):
-                return False
-            values = list(chain.from_iterable(map(dict.values, values)))
-        elif kinds == {list}:
-            values = list(chain.from_iterable(values))
-        elif kinds & _NESTED:
-            values = [v for x in values if type(x) in _NESTED
-                      for v in (x.values() if type(x) is dict else x)]
-        else:
-            return False
+        values = [v for x in values if type(x) in _NESTED
+                  for v in (x.values() if type(x) is dict else x)]
     return bool(_NESTED & set(map(type, values)))
 
 
@@ -554,28 +546,16 @@ def _map_ranges(count: int, work) -> Iterator:
     )
 
 
-def _chunk_records(chunk: _Chunk) -> List[PoseRecord]:
-    return [
-        PoseRecord(rec_id, rotation, image_path, *views, gimbal, provenance)
-        for rec_id, rotation, image_path, gimbal, provenance, *views in zip(
-            chunk.ids, chunk.rotations, chunk.image_paths, chunk.gimbal, chunk.provenance,
-            *chunk.views,
-        )
-    ]
-
-
-def _read_stack(path) -> Tuple[List[str], np.ndarray]:
-    """A label file's ids and its rotations as one (n, 3, 3) array, read
-    on the fork map."""
-
-    def columns(start, chunk):
-        return chunk.ids, chunk.rotations
-
-    ids, stacks = [], []
-    for chunk_ids, rotations in _map_chunks(path, columns):
+def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
+    """A label file's ids, its image paths and its rotations as one
+    (n, 3, 3) array, read on the fork map."""
+    columns = _map_chunks(path, lambda _, chunk: (chunk.ids, chunk.image_paths, chunk.rotations))
+    ids, image_paths, stacks = [], [], []
+    for chunk_ids, chunk_paths, rotations in columns:
         ids += chunk_ids
+        image_paths += chunk_paths
         stacks.append(rotations)
-    return ids, np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
+    return ids, image_paths, np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
 
 
 def read_labels(path) -> List[PoseRecord]:
@@ -586,7 +566,12 @@ def read_labels(path) -> List[PoseRecord]:
     same errors, in the same order, as record_from_dict line by line.
     Each record's rotation is a row view of its chunk's (n, 3, 3) array.
     """
-    return [rec for chunk in _read_chunks(path) for rec in _chunk_records(chunk)]
+    return [
+        PoseRecord(*fields)  # _Chunk's columns in PoseRecord's order, views spread
+        for chunk in _read_chunks(path)
+        for fields in zip(chunk.ids, chunk.rotations, chunk.image_paths, *chunk.views,
+                          chunk.gimbal, chunk.provenance)
+    ]
 
 
 def _write_records(fh, records) -> None:

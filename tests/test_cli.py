@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import subprocess
@@ -303,6 +304,41 @@ class TestDrawCommand:
         assert (captured.out, captured.err) == ("", f"rotkit: error: {message}\n")
         assert not out_dir.exists()
 
+    def test_over_long_file_name_rejected_before_any_write(self, tmp_path, capsys):
+        # the limit is that of the nearest existing directory above --output
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        longest = "b" * (limit - len(".svg"))
+        ids = ["a", longest + "b", "c"]
+        labels = _write(tmp_path, "src.jsonl", [PoseRecord(id=i, rotation=np.eye(3)) for i in ids])
+        out_dir = tmp_path / "new" / "svg"
+        assert main(["draw", "--input", str(labels), "--output", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        want = f"rotkit: error: id {ids[1]!r}: file name longer than {limit} bytes\n"
+        assert (captured.out, captured.err) == ("", want)
+        assert not (tmp_path / "new").exists()
+        # a name of exactly the limit is written
+        labels = _write(tmp_path, "src.jsonl", [PoseRecord(id=longest, rotation=np.eye(3))])
+        assert main(["draw", "--input", str(labels), "--output", str(out_dir)]) == 0
+        assert os.listdir(out_dir) == [longest + ".svg"]
+
+    @pytest.mark.parametrize("href", ["a\x01b.jpg", "x\ud800.jpg"])
+    def test_image_path_outside_xml_rejected_before_any_write(self, tmp_path, capsys, href):
+        # a control character made an SVG that no XML parser reads, and a
+        # lone surrogate failed to encode after the earlier SVGs were written
+        labels = tmp_path / "src.jsonl"
+        lines = [{"id": i, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "image_path": path}
+                 for i, path in (("a", "a.jpg"), ("b", href), ("c", "c.jpg"))]
+        labels.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out_dir = tmp_path / "svg"
+        assert main(["draw", "--input", str(labels), "--output", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        want = f"rotkit: error: record 'b': image_path {href!r} is not valid XML 1.0\n"
+        assert (captured.out, captured.err) == ("", want)
+        assert not out_dir.exists()
+        out_dir.mkdir()
+        assert main(["draw", "--input", str(labels), "--output", str(out_dir)]) == 1
+        assert os.listdir(out_dir) == []
+
 
 class TestDeterminismAndSeeds:
     def test_random_augment_rerun_is_byte_identical(self, tmp_path):
@@ -347,6 +383,33 @@ class TestExitCodes:
     def test_success(self, tmp_path):
         src = _write(tmp_path, "src.jsonl", _sample_records(2, seed=12))
         assert main(["stats", "--input", str(src)]) == 0
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank_lines"])
+@pytest.mark.parametrize("command, code, stdout, stderr, made", [
+    (["stats", "--output", "{out}"], 1, "", "rotkit: error: pose list is empty\n", False),
+    (["pca", "--output", "{out}"], 1, "", "rotkit: error: pca needs at least 2 records\n", False),
+    (["eval", "--output", "{out}"], 1, "", "rotkit: error: no records to evaluate\n", False),
+    (["convert", "--target", "euler_pyr", "--output", "{out}"], 0,
+     "convert: 0 records to euler_pyr (0 gimbal)\n", "", True),
+    (["augment", "--multiplier", "2", "--output", "{out}"], 0,
+     "augment: 0 records -> 0 (0 rotate, 0 flip)\n", "", True),
+    (["draw", "--output", "{out}"], 0, "draw: wrote 0 SVG files to {out}\n", "", True),
+])
+def test_input_without_records(tmp_path, capsys, content, command, code, stdout, stderr, made):
+    # the README's rule: the commands that report on a pose set fail, the
+    # ones that transform it write an empty file or directory
+    path = tmp_path / "in.jsonl"
+    path.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = [str(path)] * (2 if command[0] == "eval" else 1)
+    argv = [arg.format(out=out) for arg in command] + ["--input", *inputs]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (stdout.format(out=out), stderr)
+    assert out.exists() == made
+    if made:
+        assert (os.listdir(out) if out.is_dir() else out.read_bytes()) in ([], b"")
 
 
 @pytest.mark.parametrize("command", [

@@ -153,6 +153,19 @@ class TestRenderSvg:
         assert f'<image href="{escape(href, {chr(34): "&quot;"})}" ' in svg
         assert '<image href="a&amp;b&lt;c&gt;&quot;d\'e.png" ' in svg
 
+    @pytest.mark.parametrize("href", ["a\x01b.jpg", "x\ud800.jpg", "nul\x00", "\ufffe.png"])
+    def test_href_outside_xml_is_refused(self, href):
+        with pytest.raises(ValueError, match="is not valid XML 1.0"):
+            render_svg(self._segments(), 450, 450, background_href=href)
+
+    def test_href_of_xml_characters_parses_back(self):
+        from xml.dom import minidom
+
+        href = "caf\xe9 \ud7ff\ue000\ufffd\U0001f600\U0010ffff&<.jpg"
+        svg = render_svg(self._segments(), 450, 450, background_href=href)
+        image = minidom.parseString(svg.encode("utf-8")).getElementsByTagName("image")[0]
+        assert image.getAttribute("href") == href
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             render_svg(self._segments(), 0, 450)

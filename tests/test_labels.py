@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import stat
 
 import numpy as np
@@ -18,7 +19,14 @@ from rotkit import (
     write_labels,
 )
 from rotkit.augment import pose_stream
-from rotkit.labels import _VIEWS, CHUNK_RECORDS, record_from_dict, record_to_dict
+from rotkit.labels import (
+    _PROVENANCE_DEPTH,
+    _VIEWS,
+    CHUNK_RECORDS,
+    _too_deep,
+    record_from_dict,
+    record_to_dict,
+)
 
 
 def _records(n, seed=0):
@@ -77,6 +85,25 @@ def test_record_fields_follow_the_convention_table():
     # the readers build PoseRecords positionally, one view per convention
     names = [f.name for f in dataclasses.fields(PoseRecord)]
     assert names == ["id", "rotation", "image_path", *(f for f, _ in _VIEWS), "gimbal", "provenance"]
+
+
+def _depth(value) -> int:
+    # levels of lists and dicts in value, itself included; 0 for a scalar
+    if type(value) is list:
+        return 1 + max(map(_depth, value), default=0)
+    if type(value) is dict:
+        return 1 + max(map(_depth, value.values()), default=0)
+    return 0
+
+
+def _nest(rnd, depth):
+    # a random list or dict nesting exactly depth >= 1 levels: a few
+    # scalars, a shallow sibling or none, and one child depth - 1 levels deep
+    items = [rnd.choice([0, 1.5, "s", None, True]) for _ in range(rnd.randrange(3))]
+    if depth > 1:
+        items += [_nest(rnd, rnd.randrange(1, min(depth, 4))) for _ in range(rnd.randrange(2))]
+        items.insert(rnd.randrange(len(items) + 1), _nest(rnd, depth - 1))
+    return items if rnd.random() < 0.5 else {f"k{i}": v for i, v in enumerate(items)}
 
 
 class TestValidation:
@@ -237,6 +264,23 @@ class TestValidation:
         assert [rec.provenance for rec in read_labels(path)] == [[], []]
         assert record_from_dict(dict(obj, provenance=None)).provenance == []
         assert record_from_dict(absent).provenance == []
+
+    def test_too_deep_agrees_with_a_recursive_depth(self):
+        # chunks of provenance values nesting around _PROVENANCE_DEPTH
+        # levels, with lists and dicts mixed on every level, shallow
+        # siblings and empty containers at the bottom
+        rnd = random.Random(15)
+        verdicts = []
+        for _ in range(600):
+            chunk = [
+                [_nest(rnd, rnd.randrange(_PROVENANCE_DEPTH - 6, _PROVENANCE_DEPTH + 3))
+                 for _ in range(rnd.randrange(3))]
+                for _ in range(rnd.randrange(1, 4))
+            ]
+            want = any(_depth(value) > _PROVENANCE_DEPTH for value in chunk)
+            assert _too_deep(chunk) == want
+            verdicts.append(want)
+        assert 150 < sum(verdicts) < 450
 
     def test_null_gimbal_flag_means_false(self, tmp_path):
         r = compose_pyr((0.3, 0.2, 0.1))
