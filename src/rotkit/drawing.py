@@ -113,10 +113,13 @@ def _num(v: float) -> str:
 
 
 def _escape_attr(text: str) -> str:
-    # &, < and > as in XML character data, plus the attribute's quote.
+    # &, < and > as in XML character data, plus the attribute's quote, and
+    # tab, LF and CR as references: attribute-value normalisation would
+    # read each of them back as a space.
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        .replace('"', "&quot;")
+        .replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
+        .replace("\r", "&#13;")
     )
 
 

@@ -36,8 +36,9 @@ reading the file itself and working on every W-th chunk, with the results
 taken back in file order and the first error in file order raised.  The
 workers of `augment`, `convert` and `spiral` return encoded text, those of
 `eval`, `stats`, `pca` and `draw` ids, image paths and an (n, 3, 3) stack
-(_read_stack); only the parent writes.  With one worker the same calls
-run in-process.
+(_read_stack), which a content-addressed cache then serves again without
+a fork or a JSON decode; only the parent writes.  With one worker the
+same calls run in-process.
 """
 
 import json
@@ -47,7 +48,7 @@ import pickle
 import stat
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from json import JSONEncoder
+from json import JSONDecoder, JSONEncoder
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -129,13 +130,27 @@ def _provenance(obj: dict):
     return [] if value is None else value
 
 
-def _extras_error(image_paths: list, provenance: list) -> Optional[str]:
+def _utf8(strings) -> bool:
+    # True unless a string holds a lone surrogate (which JSON's "\ud800"
+    # escape decodes to): UTF-8 cannot encode one, so no file could hold it.
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _extras_error(ids: list, image_paths: list, provenance: list) -> Optional[str]:
     # The rule for the non-numeric fields, on the columns of one record or
-    # of a chunk: each image path a string or None, each provenance (as
-    # _provenance reads it) a list of bounded depth.  Returns the message of
-    # the first rule broken, or None.
+    # of a chunk: each id (as a string) UTF-8 text, each image path UTF-8
+    # text or None, each provenance (as _provenance reads it) a list of
+    # bounded depth.  Returns the message of the first rule broken, or None.
+    if not _utf8(ids):
+        return "id holds a lone surrogate, which UTF-8 cannot encode"
     if set(map(type, image_paths)) - {str, type(None)}:
         return "image_path must be a string or null"
+    if not _utf8(filter(None, image_paths)):
+        return "image_path holds a lone surrogate, which UTF-8 cannot encode"
     if set(map(type, provenance)) - {list}:
         return "provenance must be a list"
     if _too_deep(provenance):
@@ -206,7 +221,7 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
         views.append(view)
 
     image_path, provenance = obj.get("image_path"), _provenance(obj)
-    error = _extras_error([image_path], [provenance])
+    error = _extras_error([rec_id], [image_path], [provenance])
     if error:
         raise ValidationError(f"record {rec_id!r}: {error}")
     # positional: keywords cost more
@@ -330,12 +345,12 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
             return None
         views.append(column)
 
+    ids = list(map(str, ids))
     image_paths = [obj.get("image_path") for obj in objs]
     provenance = list(map(_provenance, objs))
-    if _extras_error(image_paths, provenance):
+    if _extras_error(ids, image_paths, provenance):
         return None
-    return _Chunk(list(map(str, ids)), rotations, image_paths, tuple(views),
-                  list(map(bool, flags)), provenance)
+    return _Chunk(ids, rotations, image_paths, tuple(views), list(map(bool, flags)), provenance)
 
 
 def _columns(records: list) -> _Chunk:
@@ -548,14 +563,160 @@ def _map_ranges(count: int, work) -> Iterator:
 
 def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
     """A label file's ids, its image paths and its rotations as one
-    (n, 3, 3) array, read on the fork map."""
+    (n, 3, 3) array.
+
+    A regular file is first looked up in the stack cache (_cache_entry); a
+    miss is read on the fork map and then stored, unless the file's inode,
+    size or mtime changed during the read.  A failed read raises before
+    anything is stored.
+    """
+    entry = _cache_entry(path)
+    if entry is not None:
+        hit = _load_entry(entry[0])
+        if hit is not None:
+            return hit
     columns = _map_chunks(path, lambda _, chunk: (chunk.ids, chunk.image_paths, chunk.rotations))
     ids, image_paths, stacks = [], [], []
     for chunk_ids, chunk_paths, rotations in columns:
         ids += chunk_ids
         image_paths += chunk_paths
         stacks.append(rotations)
-    return ids, image_paths, np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
+    stack = np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
+    if entry is not None and _file_state(path) == entry[1]:
+        _store_entry(entry[0], ids, image_paths, stack)
+    return ids, image_paths, stack
+
+
+# The stack cache: one file per validated label file, named by the sha256
+# of rotkit's sources, numpy's version and the label file's bytes, so that
+# a changed rule never serves an old verdict.  An entry is the sha256 of
+# its body, then the body: the record count (8 bytes, little-endian), the
+# stack as little-endian float64 and the UTF-8 JSON of [ids, image_paths].
+# No pickle, as the directory may be shared.  Entries are trusted once
+# their digest checks out: the digest finds torn or corrupted files, not
+# forged ones.  Any entry that does not check out, and any OSError, is a
+# miss; nothing here raises.
+_CACHE_ENTRIES = 32  # files kept; each store removes the least recently used past it
+_ENTRY_SUFFIX = ".stack"
+_DIGEST = 32  # bytes of a sha256
+_COUNT = 8  # bytes of the record count
+
+
+def _cache_dir() -> Optional[str]:
+    # ROTKIT_CACHE_DIR, else $XDG_CACHE_HOME/rotkit, else ~/.cache/rotkit;
+    # None when ROTKIT_CACHE_DIR is empty or no home directory is known.
+    # A relative XDG_CACHE_HOME is ignored, as the XDG spec says.
+    directory = os.environ.get("ROTKIT_CACHE_DIR")
+    if directory is not None:
+        return directory or None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")
+    return os.path.join(base, "rotkit") if os.path.isabs(base) else None
+
+
+def _sha256(data=b""):
+    # hashlib is imported here only, so that importing rotkit.cli leaves it out
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+def _file_state(path):
+    # What a rewrite in place changes: device, inode, size and mtime; None
+    # for anything but a regular file.
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_entry(path):
+    # (entry path, _file_state) of a regular label file when the cache is
+    # on, else None.  Reads the file once to hash it; an error is left for
+    # the read itself to raise.
+    directory = _cache_dir()
+    state = None if directory is None else _file_state(path)
+    if state is None:
+        return None
+    key = _sha256(np.__version__.encode())
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        for name in sorted(os.listdir(here)):
+            if name.endswith(".py"):
+                with open(os.path.join(here, name), "rb") as fh:
+                    key.update(name.encode() + _sha256(fh.read()).digest())
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                key.update(block)
+    except OSError:
+        return None
+    return os.path.join(directory, key.hexdigest() + _ENTRY_SUFFIX), state
+
+
+def _load_entry(entry) -> Optional[Tuple[List[str], list, np.ndarray]]:
+    # The ids, image paths and stack that entry holds, or None.  A hit
+    # marks the entry as used.
+    try:
+        with open(entry, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    body = memoryview(data)[_DIGEST:]
+    if len(body) < _COUNT or _sha256(body).digest() != data[:_DIGEST]:
+        return None
+    n = int.from_bytes(body[:_COUNT], "little")
+    names = _COUNT + 9 * 8 * n  # where the stack's 9 float64 per record end
+    try:
+        ids, image_paths = JSONDecoder().decode(str(body[names:], "utf-8"))
+    except (ValueError, TypeError):  # a short body, bad UTF-8 or JSON, not two items
+        return None
+    if not (type(ids) is type(image_paths) is list and len(ids) == len(image_paths) == n
+            and set(map(type, ids)) <= {str}
+            and set(map(type, image_paths)) <= {str, type(None)}):
+        return None
+    stack = np.frombuffer(body, "<f8", 9 * n, _COUNT).reshape(n, 3, 3).astype(float)
+    try:
+        os.utime(entry)
+    except OSError:
+        pass
+    return ids, image_paths, stack
+
+
+def _store_entry(entry, ids: list, image_paths: list, stack: np.ndarray) -> None:
+    # Write the entry under a temporary name and move it into place, then
+    # drop the least recently used files past _CACHE_ENTRIES.  Names hold
+    # no lone surrogate (_extras_error), so they encode as UTF-8.
+    body = [
+        len(ids).to_bytes(_COUNT, "little"),
+        np.ascontiguousarray(stack, "<f8"),
+        JSONEncoder(ensure_ascii=False).encode([ids, image_paths]).encode("utf-8"),
+    ]
+    digest = _sha256()
+    for part in body:
+        digest.update(part)
+    directory = os.path.dirname(entry)
+    tmp = f"{entry}.{os.urandom(6).hex()}.tmp"
+    try:
+        os.makedirs(directory, 0o700, exist_ok=True)  # private, as XDG asks
+        with open(tmp, "xb") as fh:
+            fh.write(digest.digest())
+            fh.writelines(body)
+        os.replace(tmp, entry)
+        # temporary files count too, so that those of killed runs go in time
+        with os.scandir(directory) as items:
+            used = sorted((item.stat().st_mtime_ns, item.path) for item in items
+                          if item.name.endswith((_ENTRY_SUFFIX, ".tmp")))
+        for _, old in used[:-_CACHE_ENTRIES]:
+            os.remove(old)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
 
 
 def read_labels(path) -> List[PoseRecord]:

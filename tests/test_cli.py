@@ -324,7 +324,9 @@ class TestDrawCommand:
     @pytest.mark.parametrize("href", ["a\x01b.jpg", "x\ud800.jpg"])
     def test_image_path_outside_xml_rejected_before_any_write(self, tmp_path, capsys, href):
         # a control character made an SVG that no XML parser reads, and a
-        # lone surrogate failed to encode after the earlier SVGs were written
+        # lone surrogate failed to encode after the earlier SVGs were written;
+        # the reader refuses a lone surrogate before draw sees it, as no
+        # label file can hold one
         labels = tmp_path / "src.jsonl"
         lines = [{"id": i, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "image_path": path}
                  for i, path in (("a", "a.jpg"), ("b", href), ("c", "c.jpg"))]
@@ -332,7 +334,11 @@ class TestDrawCommand:
         out_dir = tmp_path / "svg"
         assert main(["draw", "--input", str(labels), "--output", str(out_dir)]) == 1
         captured = capsys.readouterr()
-        want = f"rotkit: error: record 'b': image_path {href!r} is not valid XML 1.0\n"
+        if "\ud800" in href:
+            rule = "holds a lone surrogate, which UTF-8 cannot encode"
+        else:
+            rule = f"{href!r} is not valid XML 1.0"
+        want = f"rotkit: error: record 'b': image_path {rule}\n"
         assert (captured.out, captured.err) == ("", want)
         assert not out_dir.exists()
         out_dir.mkdir()
@@ -450,9 +456,10 @@ def test_cli_import_leaves_heavy_stdlib_modules_out():
     # statistics pulls in fractions and decimal, and numpy.random pulls in
     # secrets, hashlib and hmac; every command would otherwise import and,
     # without a warm bytecode cache, compile them.  The CLI's workers are
-    # forked with os, not started through multiprocessing.
+    # forked with os, not started through multiprocessing.  hashlib, which
+    # loads OpenSSL, is imported by the stack cache only when it is used.
     heavy = ("xml.sax", "urllib.request", "http.client", "email", "statistics",
-             "fractions", "decimal", "numpy.random", "multiprocessing")
+             "fractions", "decimal", "numpy.random", "multiprocessing", "hashlib")
     code = "import sys, rotkit.cli; rotkit.cli.build_parser()"
     assert _loaded_modules(code, heavy) == "[]"
 

@@ -166,6 +166,16 @@ class TestRenderSvg:
         image = minidom.parseString(svg.encode("utf-8")).getElementsByTagName("image")[0]
         assert image.getAttribute("href") == href
 
+    def test_href_whitespace_parses_back(self):
+        # attribute-value normalisation reads a raw tab, LF or CR as a space
+        from xml.dom import minidom
+
+        href = "a\tb\nc\rd \r\n.jpg"
+        svg = render_svg(self._segments(), 450, 450, background_href=href)
+        assert '<image href="a&#9;b&#10;c&#13;d &#13;&#10;.jpg" ' in svg
+        image = minidom.parseString(svg.encode("utf-8")).getElementsByTagName("image")[0]
+        assert image.getAttribute("href") == href
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             render_svg(self._segments(), 0, 450)

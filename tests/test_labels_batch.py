@@ -196,6 +196,10 @@ DEFECTS = {
     "id_bool": lambda obj: dict(obj, id=True),
     "id_float": lambda obj: dict(obj, id=1.5),
     "id_list": lambda obj: dict(obj, id=[1, 2]),
+    # lone surrogates, which json.dumps writes as \ud800 escapes and no
+    # UTF-8 file can hold
+    "id_surrogate": lambda obj: dict(obj, id="a\ud800"),
+    "image_path_surrogate": lambda obj: dict(obj, image_path="img/\udfff.jpg"),
 }
 
 
