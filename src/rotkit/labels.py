@@ -566,8 +566,10 @@ def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
     (n, 3, 3) array.
 
     A regular file is first looked up in the stack cache (_cache_entry); a
-    miss is read on the fork map and then stored, unless the file's inode,
-    size or mtime changed during the read.  A failed read raises before
+    miss is read on the fork map and then stored, unless the file's device,
+    inode, size or mtime changed during the read or its bytes no longer
+    hash to the key: the workers read the file again, and a rewrite in
+    place can keep its size and mtime.  A failed read raises before
     anything is stored.
     """
     entry = _cache_entry(path)
@@ -582,13 +584,13 @@ def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
         image_paths += chunk_paths
         stacks.append(rotations)
     stack = np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
-    if entry is not None and _file_state(path) == entry[1]:
+    if entry is not None and _file_state(path) == entry[2] and _file_digest(path) == entry[1]:
         _store_entry(entry[0], ids, image_paths, stack)
     return ids, image_paths, stack
 
 
 # The stack cache: one file per validated label file, named by the sha256
-# of rotkit's sources, numpy's version and the label file's bytes, so that
+# of rotkit's sources, numpy's version and the label file's sha256, so that
 # a changed rule never serves an old verdict.  An entry is the sha256 of
 # its body, then the body: the record count (8 bytes, little-endian), the
 # stack as little-endian float64 and the UTF-8 JSON of [ids, image_paths].
@@ -604,11 +606,11 @@ _COUNT = 8  # bytes of the record count
 
 def _cache_dir() -> Optional[str]:
     # ROTKIT_CACHE_DIR, else $XDG_CACHE_HOME/rotkit, else ~/.cache/rotkit;
-    # None when ROTKIT_CACHE_DIR is empty or no home directory is known.
-    # A relative XDG_CACHE_HOME is ignored, as the XDG spec says.
+    # None when no home directory is known.  An empty variable counts as
+    # unset, and a relative XDG_CACHE_HOME is ignored, as the XDG spec says.
     directory = os.environ.get("ROTKIT_CACHE_DIR")
-    if directory is not None:
-        return directory or None
+    if directory:
+        return directory
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.expanduser("~/.cache")
@@ -634,13 +636,26 @@ def _file_state(path):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
+def _file_digest(path) -> Optional[bytes]:
+    # The sha256 of a file's bytes, or None if it cannot be read.
+    digest = _sha256()
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.digest()
+
+
 def _cache_entry(path):
-    # (entry path, _file_state) of a regular label file when the cache is
-    # on, else None.  Reads the file once to hash it; an error is left for
-    # the read itself to raise.
+    # (entry path, _file_digest, _file_state) of a regular label file when
+    # a cache directory is known, else None.  An error is left for the read
+    # to raise.
     directory = _cache_dir()
     state = None if directory is None else _file_state(path)
-    if state is None:
+    content = None if state is None else _file_digest(path)
+    if content is None:
         return None
     key = _sha256(np.__version__.encode())
     here = os.path.dirname(os.path.abspath(__file__))
@@ -649,12 +664,10 @@ def _cache_entry(path):
             if name.endswith(".py"):
                 with open(os.path.join(here, name), "rb") as fh:
                     key.update(name.encode() + _sha256(fh.read()).digest())
-        with open(path, "rb") as fh:
-            while block := fh.read(1 << 20):
-                key.update(block)
     except OSError:
         return None
-    return os.path.join(directory, key.hexdigest() + _ENTRY_SUFFIX), state
+    key.update(content)
+    return os.path.join(directory, key.hexdigest() + _ENTRY_SUFFIX), content, state
 
 
 def _load_entry(entry) -> Optional[Tuple[List[str], list, np.ndarray]]:

@@ -19,6 +19,7 @@ from test_labels_batch import DEFECTS, _objects, _write
 CHUNK = 16
 N = 3 * CHUNK + 5
 CACHED = ["eval-pred", "eval-truth", "stats", "pca", "draw"]
+_CACHE_DIR = labels._cache_dir  # conftest.py's no_stack_cache turns it off
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +44,12 @@ def _entries(cache):
 
 
 def _cache_on(monkeypatch, cache):
+    monkeypatch.setattr(labels, "_cache_dir", _CACHE_DIR)
     monkeypatch.setenv("ROTKIT_CACHE_DIR", str(cache))
+
+
+def _cache_off(monkeypatch):
+    monkeypatch.setattr(labels, "_cache_dir", lambda: None)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -89,11 +95,8 @@ def test_hit_forks_nothing(tmp_path, cache, inputs, monkeypatch, capsys):
         main(["stats", "--input", other])
 
 
-def test_same_size_rewrite_with_its_mtime_restored_is_a_miss(tmp_path, cache, inputs,
-                                                             monkeypatch, capsys):
-    path = inputs["IN"]
-    _cache_on(monkeypatch, cache)
-    assert _run(COMMANDS["pca"], inputs, tmp_path / "first", 2, monkeypatch, capsys)[0] == 0
+def _rewrite_in_place(path):
+    # the first two lines swapped, with the file's size and times kept
     before = os.stat(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -101,13 +104,45 @@ def test_same_size_rewrite_with_its_mtime_restored_is_a_miss(tmp_path, cache, in
     with open(path, "w", encoding="utf-8") as fh:  # in place: the same inode
         fh.writelines(lines)
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-    assert labels._file_state(path) == (before.st_dev, before.st_ino, before.st_size,
-                                        before.st_mtime_ns)
+
+
+def test_same_size_rewrite_with_its_mtime_restored_is_a_miss(tmp_path, cache, inputs,
+                                                             monkeypatch, capsys):
+    path = inputs["IN"]
+    _cache_on(monkeypatch, cache)
+    assert _run(COMMANDS["pca"], inputs, tmp_path / "first", 2, monkeypatch, capsys)[0] == 0
+    state = labels._file_state(path)
+    _rewrite_in_place(path)
+    assert labels._file_state(path) == state
     got = _run(COMMANDS["pca"], inputs, tmp_path / "second", 2, monkeypatch, capsys)
     assert len(_entries(cache)) == 2
-    monkeypatch.setenv("ROTKIT_CACHE_DIR", "")
+    _cache_off(monkeypatch)
     want = _run(COMMANDS["pca"], inputs, tmp_path / "off", 2, monkeypatch, capsys)
     assert got == want
+
+
+def test_same_size_rewrite_during_the_read_is_not_stored(tmp_path, cache, inputs,
+                                                         monkeypatch, capsys):
+    # The workers read the rewritten bytes, which the key's hash never saw,
+    # and the file's state is the same after the read as before it.
+    path, map_chunks = inputs["IN"], labels._map_chunks
+
+    def rewriting(*args):
+        _rewrite_in_place(path)
+        return map_chunks(*args)
+
+    _cache_on(monkeypatch, cache)
+    monkeypatch.setattr(labels, "_map_chunks", rewriting)
+    state = labels._file_state(path)
+    got = _run(COMMANDS["pca"], inputs, tmp_path / "during", 2, monkeypatch, capsys)
+    assert labels._file_state(path) == state
+    assert _entries(cache) == []
+    monkeypatch.setattr(labels, "_map_chunks", map_chunks)
+    again = _run(COMMANDS["pca"], inputs, tmp_path / "again", 2, monkeypatch, capsys)
+    assert len(_entries(cache)) == 1
+    _cache_off(monkeypatch)
+    want = _run(COMMANDS["pca"], inputs, tmp_path / "off", 2, monkeypatch, capsys)
+    assert got == again == want and want[0] == 0
 
 
 def _recount(data, delta):
@@ -224,6 +259,7 @@ def test_least_recently_used_entries_go(tmp_path, cache, monkeypatch):
 
 def test_cache_location(tmp_path, monkeypatch):
     home = tmp_path / "home"
+    monkeypatch.setattr(labels, "_cache_dir", _CACHE_DIR)
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.delenv("ROTKIT_CACHE_DIR")
     monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
@@ -238,8 +274,8 @@ def test_cache_location(tmp_path, monkeypatch):
     assert os.stat(tmp_path / "xdg" / "rotkit").st_mode & 0o777 == 0o700
     monkeypatch.setenv("ROTKIT_CACHE_DIR", str(tmp_path / "mine"))
     assert labels._cache_dir() == str(tmp_path / "mine")
-    monkeypatch.setenv("ROTKIT_CACHE_DIR", "")
-    assert labels._cache_dir() is None
+    monkeypatch.setenv("ROTKIT_CACHE_DIR", "")  # empty: unset
+    assert labels._cache_dir() == str(tmp_path / "xdg" / "rotkit")
 
 
 def test_only_the_stack_readers_use_the_cache(tmp_path, cache, monkeypatch):
