@@ -98,7 +98,7 @@ def rot_z_left(r: float) -> np.ndarray:
 
 class _Convention(NamedTuple):
     """One Euler convention, read by _compose, _compose_rows and euler's
-    _extract and _euler_rows.
+    _extract.
 
     A triple (first, middle, last) composes as R_a @ R_b @ R_c for axes
     "abc".  Entries index the row-major matrix m: first and last are atan2
@@ -234,16 +234,11 @@ def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _require_rotations(a: np.ndarray) -> np.ndarray:
-    """require_rotation on every row of an (n, 3, 3) stack; returns the stack.
-
-    One batched check decides for the whole stack.  Only when it fails are
-    the rows checked one by one, so the first row outside SO(3) raises
-    require_rotation's own error.
-    """
+    """require_rotation on every row of an (n, 3, 3) stack, as one batched
+    check with require_rotation's error; returns the stack."""
     if a.ndim != 3 or a.shape[1:] != (3, 3) or not _is_rotation_batch(a, ORTHO_TOL).all():
-        for r in a:
-            require_rotation(r)
-    return a.reshape(-1, 3, 3)
+        raise ValueError(f"input is not a rotation matrix within tol={ORTHO_TOL:g}")
+    return a
 
 
 def _geodesic_batch(a, b, tol: float) -> np.ndarray:

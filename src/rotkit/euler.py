@@ -1,5 +1,8 @@
 """Closed-form Euler extraction: one routine for every convention.
 
+_extract works on one matrix's nine row-major floats; extract_pyr,
+extract_rpy and _euler_rows (row by row, after one SO(3) check) call it.
+
 Each convention is one row of core._CONVENTIONS: its axis order, the
 matrix entries that give each angle, and the split at Gimbal lock.  The
 elemental rotations are left-handed (rot_x_left, rot_y_left, rot_z_left),
@@ -73,21 +76,25 @@ class RpySolution:
     value: EulerRPY
 
 
-def _extract(r, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
-    """The (first, middle, last) angles of a rotation in a convention of
-    core._CONVENTIONS, and its lock: 0, or +1 / -1 when locked with the
-    middle angle at +pi/2 / -pi/2.
+def _entries(r, gimbal_eps) -> Tuple[list, float]:
+    # The checks of extract_pyr and extract_rpy; returns r's nine entries and gimbal_eps.
+    gimbal_eps = float(gimbal_eps)
+    if not gimbal_eps > 0.0:
+        raise ValueError("gimbal_eps must be positive")
+    return require_rotation(r).ravel().tolist(), gimbal_eps
+
+
+def _extract(m: list, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
+    """The (first, middle, last) angles of one rotation, given as its nine
+    row-major floats, in a convention of core._CONVENTIONS, and its lock: 0,
+    or +1 / -1 when locked with the middle angle at +pi/2 / -pi/2.
 
     The middle angle is atan2(sine, c) in [-pi/2, pi/2], c = |cos(middle)|
     the hypot of the last angle's entries and the lock test; first and last,
     atan2 of entries that carry the factor c > 0, are wrapped into (-pi, pi].
+    No checks: the callers make them (_entries, _require_rotations).
     """
     _, i_mid, (fy, fx), (ly, lx), (num, den), split_up, split_down = _CONVENTIONS[convention]
-    gimbal_eps = float(gimbal_eps)
-    if not gimbal_eps > 0.0:
-        raise ValueError("gimbal_eps must be positive")
-    m = require_rotation(r).ravel().tolist()
-
     c = math.hypot(m[ly], m[lx])
     if c > gimbal_eps:
         first = wrap_angle(math.atan2(m[fy], m[fx]))
@@ -108,7 +115,8 @@ def extract_pyr(r, gimbal_eps: float = GIMBAL_EPS) -> PyrSolutions:
     returned; the primary has yaw in [-pi/2, pi/2] and the secondary is
     the complementary representation of the same rotation.
     """
-    (p1, y1, r1), lock = _extract(r, "pyr", gimbal_eps)
+    m, gimbal_eps = _entries(r, gimbal_eps)
+    (p1, y1, r1), lock = _extract(m, "pyr", gimbal_eps)
     primary = EulerPYR(p1, y1, r1)
     if lock:
         kind = "gimbal_up" if lock > 0 else "gimbal_down"
@@ -131,7 +139,8 @@ def extract_rpy(r, gimbal_eps: float = GIMBAL_EPS) -> RpySolution:
     At the lock (pitch = +/-pi/2) only yaw -/+ roll is determined; it is
     split evenly between the two, mirroring the pitch-yaw-roll convention.
     """
-    angles, lock = _extract(r, "rpy", gimbal_eps)
+    m, gimbal_eps = _entries(r, gimbal_eps)
+    angles, lock = _extract(m, "rpy", gimbal_eps)
     return RpySolution("gimbal" if lock else "regular", EulerRPY(*angles))
 
 
@@ -141,26 +150,13 @@ def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]
 
     Returns the (n, 3) angle rows and the mask of rows the scalar extractor
     reports as Gimbal-locked.  One SO(3) check for the stack
-    (_require_rotations); regular rows repeat _extract's operations, with
-    hypot and atan2 from `math` on Python floats (numpy's can differ in the
-    last bit); locked rows go to _extract itself.  So every row equals the
-    scalar result exactly.
+    (_require_rotations), then the scalar routine _extract on each row's
+    nine floats, so every row is the scalar result itself.
     """
-    conv = _CONVENTIONS[convention]
-    a = _require_rotations(a)
-    m = a.reshape(-1, 9).T.tolist()
-    c = list(map(math.hypot, m[conv.last[0]], m[conv.last[1]]))
-
-    def atan2(i, j):
-        return list(map(wrap_angle, map(math.atan2, m[i], m[j])))
-
-    mid = list(map(math.atan2, [-v for v in m[conv.mid]], c))
-    # wrap_angle leaves the middle angle's [-pi/2, pi/2] unchanged
-    out = np.column_stack([atan2(*conv.first), mid, atan2(*conv.last)])
-    locked = ~(np.array(c) > GIMBAL_EPS)
-    for k in np.flatnonzero(locked).tolist():
-        out[k] = _extract(a[k], convention, GIMBAL_EPS)[0]
-    return out, locked
+    rows = [_extract(m, convention, GIMBAL_EPS)
+            for m in _require_rotations(a).reshape(-1, 9).tolist()]
+    angles, locks = zip(*rows) if rows else ((), ())
+    return np.array(angles, dtype=float).reshape(-1, 3), np.array(locks, dtype=bool)
 
 
 def pyr_to_rpy(e, gimbal_eps: float = GIMBAL_EPS) -> EulerRPY:

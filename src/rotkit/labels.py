@@ -113,14 +113,23 @@ _PROVENANCE_DEPTH = 64
 _NESTED = {list, dict}
 
 
-def _too_deep(values) -> bool:
-    # True when a list or dict among values nests over _PROVENANCE_DEPTH
-    # levels.  Each pass steps one level down: the lists' items and the
-    # dicts' values.
+def _provenance_error(values: list) -> Optional[str]:
+    # The rule for the lists and dicts among values: they nest at most
+    # _PROVENANCE_DEPTH levels, and no string or key in them holds a lone
+    # surrogate.  Each pass steps one level down: the lists' items and the
+    # dicts' values.  Returns the message of the first rule broken, or None.
+    seen = []
     for _ in range(_PROVENANCE_DEPTH):
+        seen += values
         values = [v for x in values if type(x) in _NESTED
                   for v in (x.values() if type(x) is dict else x)]
-    return bool(_NESTED & set(map(type, values)))
+    if _NESTED & set(map(type, values)):
+        return f"provenance nests deeper than {_PROVENANCE_DEPTH} levels"
+    seen += values
+    keys = chain.from_iterable([x for x in seen if type(x) is dict])
+    if not _utf8(chain([x for x in seen if type(x) is str], keys)):
+        return "provenance holds a lone surrogate, which UTF-8 cannot encode"
+    return None
 
 
 def _provenance(obj: dict):
@@ -143,8 +152,8 @@ def _utf8(strings) -> bool:
 def _extras_error(ids: list, image_paths: list, provenance: list) -> Optional[str]:
     # The rule for the non-numeric fields, on the columns of one record or
     # of a chunk: each id (as a string) UTF-8 text, each image path UTF-8
-    # text or None, each provenance (as _provenance reads it) a list of
-    # bounded depth.  Returns the message of the first rule broken, or None.
+    # text or None, each provenance (as _provenance reads it) a list that
+    # _provenance_error accepts.  Returns the first rule's message, or None.
     if not _utf8(ids):
         return "id holds a lone surrogate, which UTF-8 cannot encode"
     if set(map(type, image_paths)) - {str, type(None)}:
@@ -153,9 +162,7 @@ def _extras_error(ids: list, image_paths: list, provenance: list) -> Optional[st
         return "image_path holds a lone surrogate, which UTF-8 cannot encode"
     if set(map(type, provenance)) - {list}:
         return "provenance must be a list"
-    if _too_deep(provenance):
-        return f"provenance nests deeper than {_PROVENANCE_DEPTH} levels"
-    return None
+    return _provenance_error(provenance)
 
 
 # Element types of a row of numbers: JSON numbers.  Booleans (which float()

@@ -1,0 +1,153 @@
+"""Golden digests of the Euler outputs: build, compare, regenerate.
+
+`build` makes a small seeded corpus from routes that do not go through
+BLAS (`spiral`, `augment` at two seeds, and an annotated file composed
+with `core._compose_rows`), then runs `convert` to every target and
+`stats` on each corpus file, in-process.  `tests/test_golden.py` compares
+what it writes with `tests/data/golden.json`.
+
+Each output is stored as the sha256 of its bytes and, per line, a short
+digest (to name the first line that differs) followed by the numbers that
+the Euler extraction feeds: the `euler_*_deg` views of a label file, every
+number of a CSV or stdout line (so that a mismatch can say by how much
+they moved).
+
+Regenerate the digests, on the commit whose bytes are the reference, with
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import re
+import tempfile
+from itertools import permutations, product
+
+import numpy as np
+
+from rotkit.cli import main
+from rotkit.core import _compose_rows, _det
+from rotkit.euler import GIMBAL_EPS
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden.json")
+TARGETS = ("euler_pyr", "euler_rpy", "matrix")
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _signed_permutations():
+    # The 24 axis-aligned rotations, their zero entries stored as -0.0.
+    out = []
+    for perm, signs in product(permutations(range(3)), product((1.0, -1.0), repeat=3)):
+        m = np.full((3, 3), -0.0)
+        m[[0, 1, 2], perm] = signs
+        if _det(m.ravel().tolist()) > 0:
+            out.append(m)
+    return out
+
+
+def _annotated(path):
+    """Write rows within +/-10 GIMBAL_EPS of each convention's lock and
+    exact +/-90 deg locks, each with the view of the angles that composed
+    it, then the axis-aligned rotations."""
+    rng = np.random.default_rng(2024)
+    offsets = GIMBAL_EPS * np.array([-10.0, -3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 10.0])
+    lines = []
+    for convention in ("pyr", "rpy"):
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, (2 * len(offsets), 3))
+        # the middle angle (pyr's yaw, rpy's pitch) at and around +/-90 deg
+        angles[:, 1] = np.concatenate([pole * math.pi / 2 + offsets for pole in (1.0, -1.0)])
+        for i, (m, e) in enumerate(zip(_compose_rows(angles, convention), angles)):
+            rec_id = f"{convention}_{i:02d}"
+            lines.append({
+                "id": rec_id, "image_path": f"img/{rec_id}.jpg",
+                "rotation": m.reshape(9).tolist(),
+                f"euler_{convention}_deg": np.degrees(e).tolist(),
+            })
+    for i, m in enumerate(_signed_permutations()):
+        lines.append({"id": f"axes_{i:02d}", "rotation": m.reshape(9).tolist()})
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
+
+
+def build(out_dir) -> dict:
+    """Every output of the corpus run in out_dir, by name: bytes."""
+    out_dir = str(out_dir)
+    stdout = io.StringIO()
+
+    def run(*argv):
+        with contextlib.redirect_stdout(stdout):
+            assert main(list(argv)) == 0, argv
+
+    def at(name):
+        return os.path.join(out_dir, name)
+
+    run("spiral", "--count", "16", "--output", at("spiral.jsonl"))
+    for seed in ("3", "17"):
+        run("augment", "--input", at("spiral.jsonl"), "--output", at(f"aug{seed}.jsonl"),
+            "--multiplier", "2", "--seed", seed)
+    _annotated(at("annotated.jsonl"))
+    corpus = ("spiral", "aug3", "aug17", "annotated")
+    for name in corpus:
+        for target in TARGETS:
+            run("convert", "--input", at(f"{name}.jsonl"), "--target", target,
+                "--output", at(f"{name}.{target}.jsonl"))
+        run("stats", "--input", at(f"{name}.jsonl"), "--output", at(f"{name}.stats.csv"))
+    outputs = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(at(name), "rb") as fh:
+            outputs[name] = fh.read()
+    outputs["stdout.txt"] = stdout.getvalue().encode("utf-8")
+    return outputs
+
+
+def numbers(name: str, line: str) -> list:
+    """The numbers of one output line that golden.json keeps."""
+    if name.endswith(".jsonl"):
+        obj = json.loads(line)
+        return [v for key in sorted(obj) if key.startswith("euler_") for v in obj[key]]
+    return [float(v) for v in _NUMBER.findall(line)]
+
+
+def digest(name: str, data: bytes) -> dict:
+    """The golden entry of one output: its sha256, and per line a short
+    digest followed by the line's kept numbers."""
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "lines": [[hashlib.sha256(line.encode("utf-8")).hexdigest()[:12], *numbers(name, line)]
+                  for line in data.decode("utf-8").splitlines()],
+    }
+
+
+def mismatch(name: str, data: bytes, want: dict) -> str:
+    """How output `name` differs from its golden entry: the first line that
+    differs and the largest difference of a kept number."""
+    got = digest(name, data)["lines"]
+    first = next((i for i, (new, old) in enumerate(zip(got, want["lines"])) if new[0] != old[0]),
+                 min(len(got), len(want["lines"])))
+    lines = data.decode("utf-8").splitlines()
+    text = lines[first][:160] if first < len(lines) else "<end of file>"
+    largest = max([abs(a - b) for new, old in zip(got, want["lines"]) if len(new) == len(old)
+                   for a, b in zip(new[1:], old[1:])], default=0.0)
+    return (f"{name}: {len(got)} lines (golden {len(want['lines'])}); "
+            f"first differs at line {first + 1}: {text!r}; "
+            f"largest numeric difference {largest:.3g}")
+
+
+def write_golden() -> None:
+    with tempfile.TemporaryDirectory() as out_dir:
+        golden = {name: digest(name, data) for name, data in build(out_dir).items()}
+    # one row per output line, so that a regenerated file diffs line by line
+    entries = (f'{json.dumps(name)}: {{"sha256": "{entry["sha256"]}", "lines": [\n'
+               + ",\n".join(json.dumps(row) for row in entry["lines"]) + "]}"
+               for name, entry in sorted(golden.items()))
+    with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("{\n" + ",\n".join(entries) + "\n}\n")
+    print(f"wrote {len(golden)} digests to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -441,6 +441,28 @@ def test_deep_provenance_is_one_error_line(tmp_path, command):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("provenance", [[{"kind": "x\ud800"}], [{"x\udfff": "flip"}]],
+                         ids=["value", "key"])
+@pytest.mark.parametrize("command", [
+    ["augment", "--multiplier", "2"],
+    ["convert", "--target", "matrix"],
+    ["stats"],
+    ["draw"],
+])
+def test_provenance_surrogate_names_the_record(tmp_path, capsys, command, provenance):
+    # augment and convert failed to encode the output with a codec message
+    # that named no record
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps({"id": "a", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                "provenance": provenance}) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*command, "--input", str(path), "--output", str(out)]) == 1
+    want = ("rotkit: error: record 'a': provenance holds a lone surrogate, "
+            "which UTF-8 cannot encode\n")
+    assert capsys.readouterr() == ("", want)
+    assert not out.exists()
+
+
 def _loaded_modules(code, prefixes):
     """Modules under `prefixes` loaded after running `code` in a fresh interpreter."""
     code += f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"

@@ -23,7 +23,7 @@ from rotkit.labels import (
     _PROVENANCE_DEPTH,
     _VIEWS,
     CHUNK_RECORDS,
-    _too_deep,
+    _provenance_error,
     record_from_dict,
     record_to_dict,
 )
@@ -278,7 +278,7 @@ class TestValidation:
                 for _ in range(rnd.randrange(1, 4))
             ]
             want = any(_depth(value) > _PROVENANCE_DEPTH for value in chunk)
-            assert _too_deep(chunk) == want
+            assert (_provenance_error(chunk) is not None) == want
             verdicts.append(want)
         assert 150 < sum(verdicts) < 450
 

@@ -200,6 +200,9 @@ DEFECTS = {
     # UTF-8 file can hold
     "id_surrogate": lambda obj: dict(obj, id="a\ud800"),
     "image_path_surrogate": lambda obj: dict(obj, image_path="img/\udfff.jpg"),
+    "provenance_value_surrogate": lambda obj: dict(obj, provenance=[{"kind": "x\ud800"}]),
+    "provenance_key_surrogate": lambda obj: dict(obj, provenance=[{"kind": "rotate"},
+                                                                  {"\udfffkind": "flip"}]),
 }
 
 
