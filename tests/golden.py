@@ -1,10 +1,13 @@
-"""Golden digests of the Euler outputs: build, compare, regenerate.
+"""Golden digests of the Euler and `eval` outputs: build, compare, regenerate.
 
 `build` makes a small seeded corpus from routes that do not go through
 BLAS (`spiral`, `augment` at two seeds, and an annotated file composed
 with `core._compose_rows`), then runs `convert` to every target and
-`stats` on each corpus file, in-process.  `tests/test_golden.py` compares
-what it writes with `tests/data/golden.json`.
+`stats` on each corpus file, in-process.  It also writes predictions for
+the annotated file, turned by `core._mul` products with `_compose_rows`
+offsets (identical, 1e-8 to 1e-3 rad and near-pi pairs), and runs `eval`
+on them.  `tests/test_golden.py` compares what it writes with
+`tests/data/golden.json`.
 
 Each output is stored as the sha256 of its bytes and, per line, a short
 digest (to name the first line that differs) followed by the numbers that
@@ -30,7 +33,7 @@ from itertools import permutations, product
 import numpy as np
 
 from rotkit.cli import main
-from rotkit.core import _compose_rows, _det
+from rotkit.core import _compose_rows, _det, _mul
 from rotkit.euler import GIMBAL_EPS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden.json")
@@ -73,13 +76,33 @@ def _annotated(path):
         fh.writelines(json.dumps(line) + "\n" for line in lines)
 
 
+def _predictions(truth_path, path):
+    """Write a prediction for each record of truth_path: the truth rotation
+    itself, then turned by 1e-8 to 1e-3 rad, then by pi - 1e-12 to
+    pi - 1e-3 rad about each axis in turn."""
+    with open(truth_path, encoding="utf-8") as fh:
+        truth = [json.loads(line) for line in fh]
+    n = len(truth) // 3
+    rng = np.random.default_rng(7)
+    small = rng.uniform(-1.0, 1.0, (n, 3)) * np.logspace(-8, -3, n)[:, None]
+    far = np.zeros((n, 3))
+    far[np.arange(n), np.arange(n) % 3] = math.pi - np.logspace(-12, -3, n)
+    offsets = _compose_rows(np.concatenate([np.zeros((len(truth) - 2 * n, 3)), small, far]),
+                            "pyr")
+    rotations = np.array([rec["rotation"] for rec in truth]).T
+    turned = np.stack(_mul(rotations, offsets.reshape(-1, 9).T), axis=-1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(json.dumps({"id": rec["id"], "rotation": m.tolist()}) + "\n"
+                      for rec, m in zip(truth, turned))
+
+
 def build(out_dir) -> dict:
     """Every output of the corpus run in out_dir, by name: bytes."""
     out_dir = str(out_dir)
-    stdout = io.StringIO()
+    stdout, eval_stdout = io.StringIO(), io.StringIO()
 
-    def run(*argv):
-        with contextlib.redirect_stdout(stdout):
+    def run(*argv, out=stdout):
+        with contextlib.redirect_stdout(out):
             assert main(list(argv)) == 0, argv
 
     def at(name):
@@ -96,11 +119,15 @@ def build(out_dir) -> dict:
             run("convert", "--input", at(f"{name}.jsonl"), "--target", target,
                 "--output", at(f"{name}.{target}.jsonl"))
         run("stats", "--input", at(f"{name}.jsonl"), "--output", at(f"{name}.stats.csv"))
+    _predictions(at("annotated.jsonl"), at("predicted.jsonl"))
+    run("eval", "--input", at("predicted.jsonl"), at("annotated.jsonl"),
+        "--output", at("eval.csv"), out=eval_stdout)
     outputs = {}
     for name in sorted(os.listdir(out_dir)):
         with open(at(name), "rb") as fh:
             outputs[name] = fh.read()
     outputs["stdout.txt"] = stdout.getvalue().encode("utf-8")
+    outputs["eval.stdout.txt"] = eval_stdout.getvalue().encode("utf-8")
     return outputs
 
 
