@@ -186,13 +186,48 @@ def geodesic_distance(a, b, tol: float = ORTHO_TOL) -> float:
     """Rotation angle separating two rotations: arccos((tr(a @ b^T) - 1) / 2).
 
     Both inputs must pass the SO(3) check at tol.  The angle is evaluated
-    in a stable half-angle form (see _geodesic_rows), so identical inputs
-    give exactly 0 and small angles keep full relative precision.  Result
-    is in [0, pi].
+    as 2 atan2(sin, cos) of the half angle (see _half_angle), so identical
+    inputs give exactly 0, and both small angles and angles near pi keep
+    full precision.  Result is in [0, pi].
     """
     ra = require_rotation(a, tol, what="first argument")
     rb = require_rotation(b, tol, what="second argument")
-    return float(_geodesic_rows(ra[None], rb[None])[0])
+    return _half_angle(*_geodesic_terms(ra.ravel().tolist(), rb.ravel().tolist()))
+
+
+def _geodesic_terms(a, b) -> tuple:
+    # For entries a and b as in _mul: |a - b|_F^2, the diagonal of
+    # p = a b^T, and the differences p21 - p12, p02 - p20, p10 - p01.
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    p = _mul(a, (b0, b3, b6, b1, b4, b7, b2, b5, b8))
+    f = [(u - v) * (u - v) for u, v in zip(a, b)]
+    frob2 = ((f[0] + f[1] + f[2]) + (f[3] + f[4] + f[5])) + (f[6] + f[7] + f[8])
+    return frob2, p[0], p[4], p[8], p[7] - p[5], p[2] - p[6], p[3] - p[1]
+
+
+def _half_angle(frob2, p0, p4, p8, v0, v1, v2) -> float:
+    """The angle 2 atan2(sin, cos) of theta/2 from _geodesic_terms' values.
+
+    For rotations sin^2 = |a - b|_F^2 / 8, with no arccos floor near 0.
+    Up to pi/2, cos^2 = (1 + tr p) / 4; beyond it that form keeps only
+    about sqrt(ulp) near pi, so cos is |w| of the quaternion of p, from
+    Shepperd's (1978) branch of its largest vector component q_i:
+    4 q_i^2 = 1 + 2 p_ii - tr p and 4 w q_i = v_i.  Python floats, with
+    math.atan2 (numpy's SIMD loops may differ in the last bit).
+    """
+    tr = (p0 + p4) + p8
+    s2, c2 = frob2 / 8.0, (1.0 + tr) / 4.0
+    if s2 <= c2:
+        c = math.sqrt(c2)
+    else:
+        if p0 >= p4 and p0 >= p8:
+            q, v = p0, v0
+        elif p4 >= p8:
+            q, v = p4, v1
+        else:
+            q, v = p8, v2
+        c = abs(v) / (2.0 * math.sqrt(1.0 + 2.0 * q - tr))
+    return 2.0 * math.atan2(math.sqrt(s2), c)
 
 
 # Batched kernels over (n, 3, 3) stacks for the label readers, writers and
@@ -208,24 +243,13 @@ def _cos_sin(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))
 
 
-def _sum9(x: np.ndarray) -> np.ndarray:
-    # Fixed summation order, so a row's sum does not depend on its stack.
-    r = x[:, :, 0] + x[:, :, 1] + x[:, :, 2]
-    return r[:, 0] + r[:, 1] + r[:, 2]
-
-
 def _geodesic_rows(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Geodesic between paired rows of two (n, 3, 3) rotation stacks; no SO(3) check.
 
-    theta = 2 atan2(sin(theta/2), cos(theta/2)) with, for rotations,
-    sin^2 = |a - b|_F^2 / 8 and cos^2 = (1 + tr(a b^T)) / 4.  The sine comes
-    from the difference itself, so there is no arccos floor near 0.  The
-    arctangent is math.atan2 (numpy's SIMD loop may differ in the last bit).
+    _geodesic_terms on the columns, then _half_angle on each row's floats.
     """
-    d = ra - rb
-    s = np.sqrt(_sum9(d * d) / 8.0).tolist()
-    c = np.sqrt(np.maximum(0.0, (1.0 + _sum9(ra * rb)) / 4.0)).tolist()
-    return 2.0 * np.array(list(map(math.atan2, s, c)))
+    terms = _geodesic_terms(ra.reshape(-1, 9).T, rb.reshape(-1, 9).T)
+    return np.array(list(map(_half_angle, *(t.tolist() for t in terms))), dtype=float)
 
 
 def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from rotkit.core import (
     _geodesic_batch,
     _geodesic_rows,
     _is_rotation_batch,
+    _mul,
     _so3_gaps,
 )
 from rotkit.euler import GIMBAL_EPS, _euler_rows
@@ -222,6 +223,24 @@ class TestGeodesicDistance:
         for a, b in self._pairs(37, angles):
             assert abs(geodesic_distance(a, b) - rotation_angle(a, b)) < 1e-9
 
+    @pytest.mark.parametrize("pi_side", [False, True])
+    def test_full_precision_near_zero_and_pi(self, pi_side):
+        # b = a turned by eps or by pi - eps about x, y or z, with no BLAS
+        # product: the angle with the trace form alone erred by up to 4.5e-8
+        # near pi; both routes must land within a few ulps of the angle
+        rng = np.random.default_rng(61)
+        n = 1500
+        a = np.stack([random_rotation(rng) for _ in range(n)])
+        eps = 10.0 ** rng.uniform(-12.0, -3.0, n)
+        angles = np.zeros((n, 3))
+        angles[np.arange(n), np.arange(n) % 3] = math.pi - eps if pi_side else eps
+        turn = _compose_rows(angles, "pyr")
+        b = np.stack(_mul(a.reshape(-1, 9).T, turn.reshape(-1, 9).T), axis=-1).reshape(-1, 3, 3)
+        rows = _geodesic_rows(a, b)
+        scalar = np.array([geodesic_distance(x, y) for x, y in zip(a, b)])
+        assert rows.tobytes() == scalar.tobytes()
+        assert np.abs(rows - angles.sum(axis=1)).max() <= 2e-15
+
 
 class TestBatchedKernels:
     def test_is_rotation_batch_matches_scalar(self):
@@ -285,9 +304,11 @@ class TestBatchedKernels:
             assert batch.tobytes() == np.array(scalar).tobytes()
 
     def test_geodesic_rows_use_math_atan2(self):
-        # 2 atan2(sqrt(s2), sqrt(c2)) on Python floats, summed in _sum9's
-        # order: numpy's arctan2 would make the bytes follow the CPU's SIMD
-        # level (its AVX-512 loop rounds differently from its baseline loop)
+        # 2 atan2(s, c) on Python floats: s^2 = |a - b|_F^2 / 8, and c from
+        # the trace of p = a b^T up to pi/2, from Shepperd's branch of the
+        # largest diagonal entry beyond; numpy's arctan2 would make the bytes
+        # follow the CPU's SIMD level (its AVX-512 loop rounds differently
+        # from its baseline loop)
         rng = np.random.default_rng(59)
         a = np.stack([random_rotation(rng) for _ in range(3000)])
         b = np.stack([random_rotation(rng) for _ in range(3000)])
@@ -300,9 +321,18 @@ class TestBatchedKernels:
 
         want = []
         for x, y in zip(a.reshape(-1, 9).tolist(), b.reshape(-1, 9).tolist()):
+            p = [[x[3 * i] * y[3 * j] + x[3 * i + 1] * y[3 * j + 1] + x[3 * i + 2] * y[3 * j + 2]
+                  for j in range(3)] for i in range(3)]
+            tr = p[0][0] + p[1][1] + p[2][2]
             s2 = sum9([(u - v) * (u - v) for u, v in zip(x, y)]) / 8.0
-            c2 = (1.0 + sum9([u * v for u, v in zip(x, y)])) / 4.0
-            want.append(2.0 * math.atan2(math.sqrt(s2), math.sqrt(max(0.0, c2))))
+            c2 = (1.0 + tr) / 4.0
+            if s2 <= c2:
+                c = math.sqrt(c2)
+            else:
+                i = max(range(3), key=lambda k: p[k][k])
+                j, k = (i + 1) % 3, (i + 2) % 3
+                c = abs(p[k][j] - p[j][k]) / (2.0 * math.sqrt(1.0 + 2.0 * p[i][i] - tr))
+            want.append(2.0 * math.atan2(math.sqrt(s2), c))
         assert _geodesic_rows(a, b).tobytes() == np.array(want).tobytes()
 
     def test_geodesic_batch_names_bad_row(self):
