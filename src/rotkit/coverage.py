@@ -95,14 +95,16 @@ def densify_rolls(
 
 
 def random_rotation(rng: "np.random.Generator") -> np.ndarray:
-    """Uniform (Haar) random rotation via a normalized Gaussian quaternion."""
+    """Uniform (Haar) random rotation via a normalized Gaussian quaternion.
+
+    The norm sums left to right, so the draws do not depend on the BLAS kernel.
+    """
     while True:
-        q = rng.normal(size=4)
-        n = math.sqrt(float(q @ q))
+        w, x, y, z = rng.normal(size=4).tolist()
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if n > 1e-12:
             break
-    w, x, y, z = (float(v) / n for v in q)
-    return _quat_to_matrix(w, x, y, z)
+    return _quat_to_matrix(w / n, x / n, y / n, z / n)
 
 
 @dataclass(frozen=True)

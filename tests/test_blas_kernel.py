@@ -4,7 +4,7 @@ numpy's OpenBLAS picks a kernel for the CPU at start-up, and
 OPENBLAS_CORETYPE forces one in the process that sets it.  The same corpus
 is built in two child processes, one with the default kernel and one with
 Prescott's, which has no fused multiply-add, and every file must match;
-so must the library's Panoptic compositions.  `pca` is left out: it goes
+so must the library's Panoptic compositions and Haar draws.  `pca` is left out: it goes
 through LAPACK's eigh, which still depends on the kernel.
 """
 
@@ -53,6 +53,17 @@ print(hashlib.md5(np.array(out).tobytes()).hexdigest())
 """
 
 
+# md5 of 2000 Haar draws, which tier-1 tests use as inputs
+RANDOM_ROTATION = """
+import hashlib
+import numpy as np
+from rotkit import random_rotation
+
+rng = np.random.default_rng(9)
+print(hashlib.md5(np.array([random_rotation(rng) for _ in range(2000)]).tobytes()).hexdigest())
+"""
+
+
 def _run(coretype, *argv):
     """The stdout of python -c argv with OPENBLAS_CORETYPE=coretype (None:
     the default kernel)."""
@@ -89,3 +100,9 @@ def test_panoptic_rotation_does_not_depend_on_the_blas_kernel():
     default = _run(None, PANOPTIC)
     assert len(default) == 33
     assert _run("Prescott", PANOPTIC) == default
+
+
+def test_random_rotation_does_not_depend_on_the_blas_kernel():
+    default = _run(None, RANDOM_ROTATION)
+    assert len(default) == 33
+    assert _run("Prescott", RANDOM_ROTATION) == default
