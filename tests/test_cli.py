@@ -486,6 +486,16 @@ def test_cli_import_leaves_heavy_stdlib_modules_out():
     assert _loaded_modules(code, heavy) == "[]"
 
 
+def test_eval_leaves_numpy_ma_out(tmp_path):
+    # np.median imports numpy.ma, which without a warm bytecode cache takes
+    # longer to compile than eval's arithmetic on thousands of records
+    path = tmp_path / "spiral.jsonl"
+    assert main(["spiral", "--count", "6", "--output", str(path)]) == 0
+    argv = ["eval", "--input", str(path), str(path)]
+    code = f"import sys, rotkit.cli; assert rotkit.cli.main({argv!r}) == 0"
+    assert _loaded_modules(code, ("numpy.ma.", "statistics", "multiprocessing")) == "[]"
+
+
 def test_random_augment_leaves_numpy_random_out(tmp_path):
     # the random ops come from Philox in plain uint64 arithmetic
     src, out = tmp_path / "spiral.jsonl", tmp_path / "out.jsonl"
