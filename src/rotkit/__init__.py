@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "augment": "AugmentOp PixelPoint apply_augment corollary_case flip_image_label map_pixel "
                "pose_stream random_augment rotate_image_label",
-    "cli": "",
     "core": "ORTHO_TOL EulerPYR EulerRPY compose_pyr compose_rpy geodesic_distance is_rotation "
             "require_rotation rot_x_left rot_y_left rot_z_left wrap_angle",
     "coverage": "EulerRangeStats PcaResult SpiralSpec densify_rolls euler_range_stats "
