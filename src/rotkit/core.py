@@ -232,9 +232,10 @@ def _half_angle(frob2, p0, p4, p8, v0, v1, v2) -> float:
 
 # Batched kernels over (n, 3, 3) stacks for the label readers, writers and
 # CLI commands.  Each evaluates the scalar kernel's expression (_mul,
-# _so3_gaps, _det) on the columns a.reshape(-1, 9).T, with sines, cosines
-# and arctangents from `math`: every row, residual and distance equals the
-# scalar one byte for byte, and no product goes through BLAS.
+# _so3_gaps, _det, _geodesic_terms) on the columns a.reshape(-1, 9).T, with
+# sines, cosines and arctangents from `math`: every row, residual and
+# distance equals the scalar one byte for byte, and no product goes through
+# BLAS.
 
 
 def _cos_sin(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
