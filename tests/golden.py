@@ -1,4 +1,4 @@
-"""Golden digests of the Euler and `eval` outputs: build, compare, regenerate.
+"""Golden digests of every command's outputs: build, compare, regenerate.
 
 `build` makes a small seeded corpus from routes that do not go through
 BLAS (`spiral`, `augment` at two seeds, and an annotated file composed
@@ -6,14 +6,18 @@ with `core._compose_rows`), then runs `convert` to every target and
 `stats` on each corpus file, in-process.  It also writes predictions for
 the annotated file, turned by `core._mul` products with `_compose_rows`
 offsets (identical, 1e-8 to 1e-3 rad and near-pi pairs), and runs `eval`
-on them.  `tests/test_golden.py` compares what it writes with
+on them, and `draw` (image hrefs included) and `pca` on the annotated
+file.  `tests/test_golden.py` compares what it writes with
 `tests/data/golden.json`.
 
 Each output is stored as the sha256 of its bytes and, per line, a short
 digest (to name the first line that differs) followed by the numbers that
 the Euler extraction feeds: the `euler_*_deg` views of a label file, every
-number of a CSV or stdout line (so that a mismatch can say by how much
-they moved).
+number of a CSV, SVG or stdout line (so that a mismatch can say by how
+much they moved).  `pca` follows LAPACK's eigh, which another kernel may
+round differently (see the `rotkit.cli` docstring), so its CSV and stdout
+are pinned by their text with the numbers masked, and by each number
+within PCA_RTOL (relative, and absolute below 1), not by bytes.
 
 Regenerate the digests, on the commit whose bytes are the reference, with
 
@@ -38,6 +42,8 @@ from rotkit.euler import GIMBAL_EPS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden.json")
 TARGETS = ("euler_pyr", "euler_rpy", "matrix")
+PCA_OUTPUTS = ("pca.csv", "pca.stdout.txt")
+PCA_RTOL = 1e-10
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -99,7 +105,7 @@ def _predictions(truth_path, path):
 def build(out_dir) -> dict:
     """Every output of the corpus run in out_dir, by name: bytes."""
     out_dir = str(out_dir)
-    stdout, eval_stdout = io.StringIO(), io.StringIO()
+    stdout, eval_stdout, draw_stdout, pca_stdout = (io.StringIO() for _ in range(4))
 
     def run(*argv, out=stdout):
         with contextlib.redirect_stdout(out):
@@ -122,13 +128,20 @@ def build(out_dir) -> dict:
     _predictions(at("annotated.jsonl"), at("predicted.jsonl"))
     run("eval", "--input", at("predicted.jsonl"), at("annotated.jsonl"),
         "--output", at("eval.csv"), out=eval_stdout)
+    run("pca", "--input", at("annotated.jsonl"), "--output", at("pca.csv"), out=pca_stdout)
+    run("draw", "--input", at("annotated.jsonl"), "--output", at("draw"), out=draw_stdout)
     outputs = {}
-    for name in sorted(os.listdir(out_dir)):
-        with open(at(name), "rb") as fh:
-            outputs[name] = fh.read()
+    for root, _, files in os.walk(out_dir):
+        for file in files:
+            with open(os.path.join(root, file), "rb") as fh:
+                name = os.path.relpath(os.path.join(root, file), out_dir)
+                outputs[name.replace(os.sep, "/")] = fh.read()
     outputs["stdout.txt"] = stdout.getvalue().encode("utf-8")
     outputs["eval.stdout.txt"] = eval_stdout.getvalue().encode("utf-8")
-    return outputs
+    # draw names its output directory, a temporary one
+    outputs["draw.stdout.txt"] = draw_stdout.getvalue().replace(at("draw"), "draw").encode("utf-8")
+    outputs["pca.stdout.txt"] = pca_stdout.getvalue().encode("utf-8")
+    return dict(sorted(outputs.items()))
 
 
 def numbers(name: str, line: str) -> list:
@@ -141,19 +154,45 @@ def numbers(name: str, line: str) -> list:
 
 def digest(name: str, data: bytes) -> dict:
     """The golden entry of one output: its sha256, and per line a short
-    digest followed by the line's kept numbers."""
+    digest followed by the line's kept numbers; for a `pca` output no
+    sha256, and each line's digest taken with its numbers masked."""
+    lines = data.decode("utf-8").splitlines()
+    if name in PCA_OUTPUTS:
+        return {"lines": [[_short(_NUMBER.sub("#", line)), *numbers(name, line)]
+                          for line in lines]}
     return {
         "sha256": hashlib.sha256(data).hexdigest(),
-        "lines": [[hashlib.sha256(line.encode("utf-8")).hexdigest()[:12], *numbers(name, line)]
-                  for line in data.decode("utf-8").splitlines()],
+        "lines": [[_short(line), *numbers(name, line)] for line in lines],
     }
+
+
+def _short(line: str) -> str:
+    return hashlib.sha256(line.encode("utf-8")).hexdigest()[:12]
+
+
+def _same_line(name: str, new: list, old: list) -> bool:
+    if name not in PCA_OUTPUTS:
+        return new[0] == old[0]
+    return len(new) == len(old) and new[0] == old[0] and all(
+        math.isclose(a, b, rel_tol=PCA_RTOL, abs_tol=PCA_RTOL) for a, b in zip(new[1:], old[1:]))
+
+
+def matches(name: str, data: bytes, want: dict) -> bool:
+    """True iff output `name` holds to its golden entry: every byte, or for
+    a `pca` output its text and its numbers within PCA_RTOL."""
+    got = digest(name, data)
+    if name not in PCA_OUTPUTS:
+        return got == want
+    return len(got["lines"]) == len(want["lines"]) and all(
+        _same_line(name, new, old) for new, old in zip(got["lines"], want["lines"]))
 
 
 def mismatch(name: str, data: bytes, want: dict) -> str:
     """How output `name` differs from its golden entry: the first line that
     differs and the largest difference of a kept number."""
     got = digest(name, data)["lines"]
-    first = next((i for i, (new, old) in enumerate(zip(got, want["lines"])) if new[0] != old[0]),
+    first = next((i for i, (new, old) in enumerate(zip(got, want["lines"]))
+                  if not _same_line(name, new, old)),
                  min(len(got), len(want["lines"])))
     lines = data.decode("utf-8").splitlines()
     text = lines[first][:160] if first < len(lines) else "<end of file>"
@@ -168,9 +207,11 @@ def write_golden() -> None:
     with tempfile.TemporaryDirectory() as out_dir:
         golden = {name: digest(name, data) for name, data in build(out_dir).items()}
     # one row per output line, so that a regenerated file diffs line by line
-    entries = (f'{json.dumps(name)}: {{"sha256": "{entry["sha256"]}", "lines": [\n'
-               + ",\n".join(json.dumps(row) for row in entry["lines"]) + "]}"
-               for name, entry in sorted(golden.items()))
+    entries = []
+    for name, entry in sorted(golden.items()):
+        sha = f'"sha256": "{entry["sha256"]}", ' if "sha256" in entry else ""
+        entries.append(f'{json.dumps(name)}: {{{sha}"lines": [\n'
+                       + ",\n".join(json.dumps(row) for row in entry["lines"]) + "]}")
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("{\n" + ",\n".join(entries) + "\n}\n")
     print(f"wrote {len(golden)} digests to {GOLDEN}")
