@@ -58,8 +58,9 @@ from .core import (
     _compose,
     _compose_rows,
     _geodesic_rows,
+    _geodesic_terms,
+    _half_angle,
     _is_rotation_batch,
-    geodesic_distance,
     is_rotation,
 )
 from .euler import GIMBAL_EPS
@@ -220,8 +221,9 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
                     f"record {rec_id!r}: {field_name} must be 3 finite JSON numbers"
                 )
             view = tuple(row[0].tolist())
+            # geodesic_distance minus its checks: both matrices are rotations
             composed = _compose([math.radians(v) for v in view], convention)
-            dist = geodesic_distance(composed, rotation, tol=FILE_ORTHO_TOL)
+            dist = _half_angle(*_geodesic_terms(composed.ravel().tolist(), flat[0].tolist()))
             if dist > tol:
                 raise ValidationError(f"record {rec_id!r}: {field_name} disagrees with rotation "
                                       f"(geodesic {dist:.3e} rad > {tol:g})")

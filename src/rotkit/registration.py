@@ -19,6 +19,8 @@ E_REF = np.diag([1.0, -1.0, -1.0])
 
 # Relative eigenvalue cutoff for "the source points span a plane".
 _RANK_RTOL = 1e-12
+# SO(3) tolerance of a camera extrinsic: calibration files store it rounded.
+_EXTRINSIC_TOL = 1e-6
 
 
 class DegenerateGeometryError(ValueError):
@@ -57,7 +59,7 @@ class CameraExtrinsic:
     rotation_part: np.ndarray
 
     def __post_init__(self):
-        a = require_rotation(self.rotation_part, tol=1e-6, what="rotation_part")
+        a = require_rotation(self.rotation_part, tol=_EXTRINSIC_TOL, what="rotation_part")
         object.__setattr__(self, "rotation_part", a)
 
 
@@ -87,19 +89,16 @@ def horn_rotation(src, dst) -> np.ndarray:
             "source points are collinear; rotation is not unique"
         )
 
-    m = sc.T @ dc  # cross-covariance, m[a, b] = sum_i sc[i, a] dc[i, b]
-    n4 = np.array(
-        [
-            [m[0, 0] + m[1, 1] + m[2, 2], m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]],
-            [m[1, 2] - m[2, 1], m[0, 0] - m[1, 1] - m[2, 2], m[0, 1] + m[1, 0], m[0, 2] + m[2, 0]],
-            [m[2, 0] - m[0, 2], m[0, 1] + m[1, 0], m[1, 1] - m[0, 0] - m[2, 2], m[1, 2] + m[2, 1]],
-            [m[0, 1] - m[1, 0], m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], m[2, 2] - m[0, 0] - m[1, 1]],
-        ]
-    )
-    if float(np.abs(n4).max()) == 0.0:
+    # the cross-covariance m[a][b] = sum_i sc[i, a] dc[i, b], as nine floats
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = (sc.T @ dc).ravel().tolist()
+    n4 = np.array([[m00 + m11 + m22, m12 - m21, m20 - m02, m01 - m10],
+                   [m12 - m21, m00 - m11 - m22, m01 + m10, m02 + m20],
+                   [m20 - m02, m01 + m10, m11 - m00 - m22, m12 + m21],
+                   [m01 - m10, m02 + m20, m12 + m21, m22 - m00 - m11]])
+    if not n4.any():
         raise DegenerateGeometryError("cross-covariance is zero")
     _, vectors = symmetric_eigh(n4)
-    w, x, y, z = (float(v) for v in vectors[:, 0])
+    w, x, y, z = vectors[:, 0].tolist()
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return _quat_to_matrix(w / n, x / n, y / n, z / n)
 
@@ -109,7 +108,7 @@ def panoptic_rotation(extrinsic, r_horn) -> np.ndarray:
     if isinstance(extrinsic, CameraExtrinsic):
         c = extrinsic.rotation_part
     else:
-        c = require_rotation(extrinsic, tol=1e-6, what="extrinsic")
+        c = require_rotation(extrinsic, tol=_EXTRINSIC_TOL, what="extrinsic")
     h = require_rotation(r_horn, tol=ORTHO_TOL, what="r_horn")
     # C_extr @ R_Horn entry by entry (_mul); E_ref = diag(1, -1, -1) then
     # negates rows 2 and 3, which is exact
