@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -17,13 +18,14 @@ import sys
 import numpy as np
 
 from .augment import AugmentOp, _augment_rows
-from .core import _CONVENTIONS
+from .core import _CONVENTIONS, ORTHO_TOL, _is_rotation_batch, _NotRotations, _require_rotations
 from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
 from .drawing import _NOT_XML_CHAR, DrawSpec, _check_size, _segments_rows, render_svg
 from .euler import _euler_rows
 from .evaluate import _evaluate_stacks, _rows_by_id
 from .labels import (
     CHUNK_RECORDS,
+    FILE_ORTHO_TOL,
     ValidationError,
     _encode_columns,
     _map_chunks,
@@ -47,16 +49,35 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _named_record(ids, rotations):
+    """Re-raise a failed SO(3) check of the stack `rotations`
+    (core._NotRotations) naming the first record that fails it: the reader
+    accepts rotations within FILE_ORTHO_TOL, the transforms need ORTHO_TOL."""
+    try:
+        yield
+    except _NotRotations:
+        rec_id = ids[int(np.argmin(_is_rotation_batch(rotations, ORTHO_TOL)))]
+        raise ValidationError(
+            f"record {rec_id!r}: rotation is not a rotation matrix within tol={ORTHO_TOL:g}, "
+            f"though label files are read at {FILE_ORTHO_TOL:g}"
+        ) from None
+
+
 def _write_chunks(path, output, work):
     """Write the texts of work(start, chunk) -> (text, count, tally) over the
     chunks of label file `path` (_map_chunks) to `output` (_write_file);
     return the summed counts and tallies.  An unwritable output is reported
-    before a missing input."""
+    before a missing input, and a failed SO(3) check names its record."""
     n = tally = 0
+
+    def named(start, chunk):
+        with _named_record(chunk.ids, chunk.rotations):
+            return work(start, chunk)
 
     def write(fh):
         nonlocal n, tally
-        for text, count, chunk_tally in _map_chunks(path, work):
+        for text, count, chunk_tally in _map_chunks(path, named):
             fh.write(text)
             n += count
             tally += chunk_tally
@@ -199,8 +220,9 @@ def cmd_pca(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    *_, rotations = _read_stack(args.input)
-    stats = euler_range_stats(rotations)
+    ids, _, rotations = _read_stack(args.input)
+    with _named_record(ids, rotations):
+        stats = euler_range_stats(rotations)
     if args.output:
         columns = zip(stats.pitch_deg, stats.yaw_deg, stats.roll_deg)
         _write_csv(args.output, "angle,min_deg,max_deg", ("pitch", "yaw", "roll"), *columns)
@@ -215,13 +237,16 @@ def cmd_stats(args) -> int:
 
 def cmd_draw(args) -> int:
     # the flags are checked before the input is read, and every record
-    # before any file is written: each file name's length (in bytes, as the
-    # names are ASCII) against the limit of the nearest existing directory,
-    # each image path, and the names together for collisions
+    # before any file is written: its rotation (at ORTHO_TOL), each file
+    # name's length (in bytes, as the names are ASCII) against the limit of
+    # the nearest existing directory, each image path, and the names
+    # together for collisions
     _check_size(args.width, args.height)
     center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
     spec = DrawSpec(center=center, size=args.size)
     ids, image_paths, rotations = _read_stack(args.input)
+    with _named_record(ids, rotations):
+        _require_rotations(rotations)
     names = [_ID_SAFE.sub("_", rec_id) + ".svg" for rec_id in ids]
     parent, ids_by_name = os.path.abspath(args.output), {}
     while not os.path.exists(parent):

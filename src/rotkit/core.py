@@ -258,11 +258,15 @@ def _is_rotation_batch(a: np.ndarray, tol: float) -> np.ndarray:
     return np.logical_and.reduce([gap <= tol for gap in _so3_gaps(a.reshape(-1, 9).T)])
 
 
+class _NotRotations(ValueError):
+    """_require_rotations' refusal, so that the CLI can name the record."""
+
+
 def _require_rotations(a: np.ndarray) -> np.ndarray:
     """require_rotation on every row of an (n, 3, 3) stack, as one batched
-    check with require_rotation's error; returns the stack."""
+    check with require_rotation's message; returns the stack."""
     if a.ndim != 3 or a.shape[1:] != (3, 3) or not _is_rotation_batch(a, ORTHO_TOL).all():
-        raise ValueError(f"input is not a rotation matrix within tol={ORTHO_TOL:g}")
+        raise _NotRotations(f"input is not a rotation matrix within tol={ORTHO_TOL:g}")
     return a
 
 

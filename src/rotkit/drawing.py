@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _require_rotations, require_rotation
+from .core import require_rotation
 
 AXIS_COLORS = ("#FF0000", "#00FF00", "#0000FF")
 # The first two rows of T R T, as signs on the rows of R: conjugation by
@@ -95,11 +95,11 @@ def segments(proj: AxisProjection, spec: DrawSpec) -> list[Segment]:
 def _segments_rows(a: np.ndarray, spec: DrawSpec) -> List[List[Segment]]:
     """segments(project_axes(r), spec) for each row r of an (n, 3, 3) stack.
 
-    One SO(3) check for the stack (_require_rotations) and the sign flips
-    of project_axes; endpoints are center + size * axis, the same two
+    No SO(3) check: the caller makes it (_require_rotations).  The sign
+    flips of project_axes; endpoints are center + size * axis, the same two
     roundings as segments, so they match it byte for byte.
     """
-    d = _require_rotations(a)[:, :2] * _T_SIGNS
+    d = a[:, :2] * _T_SIGNS
     cx, cy, size = float(spec.center[0]), float(spec.center[1]), float(spec.size)
     xs = (cx + size * d[:, 0, :]).tolist()
     ys = (cy + size * d[:, 1, :]).tolist()

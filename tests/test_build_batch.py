@@ -52,7 +52,8 @@ from rotkit.euler import _euler_rows
 from rotkit.labels import CHUNK_RECORDS, GIMBAL_CONSISTENCY_TOL, record_to_dict
 
 BAND = 10 * GIMBAL_EPS
-NOT_SO3 = "rotkit: error: input is not a rotation matrix within tol=1e-09\n"
+NOT_SO3 = ("rotkit: error: record 'r01024': rotation is not a rotation matrix within "
+           "tol=1e-09, though label files are read at 1e-06\n")
 
 
 def _signed_permutations():
@@ -461,7 +462,7 @@ class TestCliParity:
 
 class TestCliErrors:
     """A rotation inside the file tolerance (1e-6) but outside ORTHO_TOL
-    (1e-9) still fails the transforms, with the scalar functions' error."""
+    (1e-9) still fails the transforms, with an error that names its record."""
 
     @pytest.fixture
     def loose_file(self, tmp_path):
@@ -492,6 +493,27 @@ class TestCliErrors:
         out = tmp_path / "svg"
         assert main(["draw", "--input", str(loose_file), "--output", str(out)]) == 1
         assert capsys.readouterr().err == NOT_SO3
+
+    def test_a_float32_rounded_record_is_named(self, tmp_path, capsys):
+        # float32 rounding leaves an SO(3) residual of about 1e-8: the reader
+        # accepts the record, the transforms refuse it by id, writing nothing
+        r = random_rotation(pose_stream(5)).astype(np.float32).astype(float)
+        assert is_rotation(r, 1e-6) and not is_rotation(r, 1e-9)
+        path = tmp_path / "f32.jsonl"
+        path.write_text("".join(json.dumps({"id": rec_id, "rotation": m.ravel().tolist()}) + "\n"
+                                for rec_id, m in (("exact", np.eye(3)), ("f32", r))))
+        out = tmp_path / "out"
+        for argv in (["convert", "--target", "euler_pyr"], ["augment"], ["stats"], ["draw"]):
+            assert main([*argv, "--input", str(path), "--output", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "rotkit: error: record 'f32': rotation is not a rotation matrix within "
+                "tol=1e-09, though label files are read at 1e-06\n")
+            assert sorted(os.listdir(tmp_path)) == ["f32.jsonl"]
+        assert main(["eval", "--input", str(path), str(path)]) == 0
+        assert main(["pca", "--input", str(path), "--output", str(out)]) == 0
+        with pytest.raises(ValueError) as info:
+            euler_range_stats([r])
+        assert str(info.value) == "input is not a rotation matrix within tol=1e-09"
 
     def test_matrix_target_has_no_so3_check(self, loose_file, tmp_path):
         out = tmp_path / "out.jsonl"
