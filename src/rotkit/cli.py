@@ -237,16 +237,14 @@ def cmd_stats(args) -> int:
 
 def cmd_draw(args) -> int:
     # the flags are checked before the input is read, and every record
-    # before any file is written: its rotation (at ORTHO_TOL), each file
-    # name's length (in bytes, as the names are ASCII) against the limit of
-    # the nearest existing directory, each image path, and the names
-    # together for collisions
+    # before any file is written: each file name's length (in bytes, as the
+    # names are ASCII) against the limit of the nearest existing directory,
+    # each image path, the names together for collisions, then every
+    # rotation at ORTHO_TOL
     _check_size(args.width, args.height)
     center = tuple(args.center) if args.center else (args.width / 2.0, args.height / 2.0)
     spec = DrawSpec(center=center, size=args.size)
     ids, image_paths, rotations = _read_stack(args.input)
-    with _named_record(ids, rotations):
-        _require_rotations(rotations)
     names = [_ID_SAFE.sub("_", rec_id) + ".svg" for rec_id in ids]
     parent, ids_by_name = os.path.abspath(args.output), {}
     while not os.path.exists(parent):
@@ -263,6 +261,8 @@ def cmd_draw(args) -> int:
             raise ValidationError(
                 f"ids {', '.join(map(repr, same))} all map to file {name!r}"
             )
+    with _named_record(ids, rotations):
+        _require_rotations(rotations)
     os.makedirs(args.output, exist_ok=True)
     rows = (segs for start in range(0, len(ids), CHUNK_RECORDS)
             for segs in _segments_rows(rotations[start:start + CHUNK_RECORDS], spec))
