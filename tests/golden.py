@@ -141,7 +141,7 @@ def build(out_dir) -> dict:
     # draw names its output directory, a temporary one
     outputs["draw.stdout.txt"] = draw_stdout.getvalue().replace(at("draw"), "draw").encode("utf-8")
     outputs["pca.stdout.txt"] = pca_stdout.getvalue().encode("utf-8")
-    return dict(sorted(outputs.items()))
+    return outputs
 
 
 def numbers(name: str, line: str) -> list:

@@ -5,9 +5,10 @@
 locks and signed zeros, `eval` on identical, small-angle and near-pi
 pairs, and `draw` and `pca` on the annotated file; every output file and
 the commands' stdout must hash to `tests/data/golden.json`, except that
-`pca`'s numbers, which follow LAPACK, are held within `golden.PCA_RTOL`.  A change that moves bytes on purpose
-regenerates that file with `tests/golden.py` and says in CHANGES.md which
-outputs moved and by how much; the failure message gives both.
+`pca`'s numbers, which follow LAPACK, are held within `golden.PCA_RTOL`.
+A change that moves bytes on purpose regenerates that file with
+`tests/golden.py` and says in CHANGES.md which outputs moved and by how
+much; the failure message gives both.
 """
 
 import json
