@@ -95,9 +95,10 @@ def segments(proj: AxisProjection, spec: DrawSpec) -> list[Segment]:
 def _segments_rows(a: np.ndarray, spec: DrawSpec) -> List[List[Segment]]:
     """segments(project_axes(r), spec) for each row r of an (n, 3, 3) stack.
 
-    No SO(3) check: the caller makes it (_require_rotations).  The sign
-    flips of project_axes; endpoints are center + size * axis, the same two
-    roundings as segments, so they match it byte for byte.
+    No SO(3) check: `draw` passes a stack from the reader, which passes
+    ORTHO_TOL.  The sign flips of project_axes; endpoints are center +
+    size * axis, the same two roundings as segments, so they match it
+    byte for byte.
     """
     d = a[:, :2] * _T_SIGNS
     cx, cy, size = float(spec.center[0]), float(spec.center[1]), float(spec.size)

@@ -7,10 +7,13 @@ One record per line:
      "gimbal"?: bool, "provenance"?: [op descriptors]}
 
 An integer id is read as its decimal string; an id of any other type is
-refused.  The matrix is the source of truth; Euler fields are advisory
-views in degrees, checked against the matrix on read.  Floats are
-serialized with shortest round-trip decimals, so write-then-read
-reproduces rotations bit-exactly.
+refused; a field the format does not name is dropped.  The matrix is the
+source of truth, read at FILE_ORTHO_TOL; Euler fields are advisory views
+in degrees, checked against it on read.  Once its record has passed every
+check, a matrix that fails ORTHO_TOL is replaced by its nearest rotation
+(core._nearest_rotation), so all the reader returns passes ORTHO_TOL.
+Floats are serialized with shortest round-trip decimals, so write-then-read
+reproduces rotations that pass ORTHO_TOL bit-exactly.
 
 Numbers are JSON numbers: a string, object or boolean in the rotation or
 a view is refused, never parsed.  Each field rule exists once and works on
@@ -55,13 +58,14 @@ import numpy as np
 
 from .core import (
     _CONVENTIONS,
+    ORTHO_TOL,
     _compose,
     _compose_rows,
     _geodesic_rows,
     _geodesic_terms,
     _half_angle,
-    _is_rotation_batch,
-    is_rotation,
+    _nearest_rotation,
+    _so3_gaps,
 )
 from .euler import GIMBAL_EPS
 
@@ -200,8 +204,9 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
     flat = _float_rows([obj["rotation"]], 9)
     if flat is None:
         raise ValidationError(f"record {rec_id!r}: rotation must be 9 finite JSON numbers")
-    rotation = flat.reshape(3, 3)
-    if not is_rotation(rotation, FILE_ORTHO_TOL):
+    m = flat[0].tolist()
+    gaps = _so3_gaps(m)
+    if not all([gap <= FILE_ORTHO_TOL for gap in gaps]):
         raise ValidationError(
             f"record {rec_id!r}: rotation fails the SO(3) check at {FILE_ORTHO_TOL:g}"
         )
@@ -223,7 +228,7 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
             view = tuple(row[0].tolist())
             # geodesic_distance minus its checks: both matrices are rotations
             composed = _compose([math.radians(v) for v in view], convention)
-            dist = _half_angle(*_geodesic_terms(composed.ravel().tolist(), flat[0].tolist()))
+            dist = _half_angle(*_geodesic_terms(composed.ravel().tolist(), m))
             if dist > tol:
                 raise ValidationError(f"record {rec_id!r}: {field_name} disagrees with rotation "
                                       f"(geodesic {dist:.3e} rad > {tol:g})")
@@ -233,8 +238,10 @@ def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
     error = _extras_error([rec_id], [image_path], [provenance])
     if error:
         raise ValidationError(f"record {rec_id!r}: {error}")
+    if not all([gap <= ORTHO_TOL for gap in gaps]):
+        flat = np.array([_nearest_rotation(m)])
     # positional: keywords cost more
-    return PoseRecord(rec_id, rotation, image_path, *views, bool(gimbal), provenance)
+    return PoseRecord(rec_id, flat.reshape(3, 3), image_path, *views, bool(gimbal), provenance)
 
 
 def record_to_dict(rec: PoseRecord) -> dict:
@@ -344,7 +351,8 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
     if flat is None:
         return None
     rotations = flat.reshape(-1, 3, 3)
-    if not _is_rotation_batch(rotations, FILE_ORTHO_TOL).all():
+    gaps = np.maximum.reduce(_so3_gaps(flat.T))  # each row's worst, as in record_from_dict
+    if not (gaps <= FILE_ORTHO_TOL).all():
         return None
     tols = np.array([GIMBAL_CONSISTENCY_TOL if flag else EULER_CONSISTENCY_TOL for flag in flags])
     views = []
@@ -359,6 +367,9 @@ def _chunk_batched(objs: list) -> Optional[_Chunk]:
     provenance = list(map(_provenance, objs))
     if _extras_error(ids, image_paths, provenance):
         return None
+    loose = gaps > ORTHO_TOL  # repaired last, to record_from_dict's bytes
+    if loose.any():
+        rotations[loose] = np.stack(_nearest_rotation(flat[loose].T), axis=-1).reshape(-1, 3, 3)
     return _Chunk(ids, rotations, image_paths, tuple(views), list(map(bool, flags)), provenance)
 
 

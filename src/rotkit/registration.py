@@ -78,13 +78,14 @@ def horn_rotation(src, dst) -> np.ndarray:
     Centroids are removed from both sets first, so translation is ignored;
     only the rotation is recovered (no scale).
     """
-    s = _as_points(src, "src")
-    d = _as_points(dst, "dst")
+    # a LandmarkSet was checked, and plane-tested, when it was built
+    s = src.points if isinstance(src, LandmarkSet) else _as_points(src, "src")
+    d = dst.points if isinstance(dst, LandmarkSet) else _as_points(dst, "dst")
     if s.shape != d.shape:
         raise ValueError("src and dst must have the same number of points")
     sc = s - s.mean(axis=0)
     dc = d - d.mean(axis=0)
-    if not _spans_plane(sc):
+    if not isinstance(src, LandmarkSet) and not _spans_plane(sc):
         raise DegenerateGeometryError(
             "source points are collinear; rotation is not unique"
         )

@@ -52,8 +52,10 @@ from rotkit.euler import _euler_rows
 from rotkit.labels import CHUNK_RECORDS, GIMBAL_CONSISTENCY_TOL, record_to_dict
 
 BAND = 10 * GIMBAL_EPS
-NOT_SO3 = ("rotkit: error: record 'r01024': rotation is not a rotation matrix within "
-           "tol=1e-09, though label files are read at 1e-06\n")
+# A scale that leaves a rotation inside the file tolerance (1e-6) but
+# outside ORTHO_TOL (1e-9): the reader replaces such a row by its nearest
+# rotation.
+LOOSE_SCALE = 1.0 + 1e-7
 
 
 def _signed_permutations():
@@ -461,17 +463,43 @@ class TestCliParity:
 
 
 class TestCliErrors:
-    """A rotation inside the file tolerance (1e-6) but outside ORTHO_TOL
-    (1e-9) still fails the transforms, with an error that names its record."""
+    """Inputs at the edges of the label contract.  A rotation inside the
+    file tolerance (1e-6) but outside ORTHO_TOL (1e-9) is read as its
+    nearest rotation, so every command gives the bytes it gives on a file
+    that holds the repaired rotation written exactly; a bad budget is
+    refused."""
 
     @pytest.fixture
     def loose_file(self, tmp_path):
         records = _input_records()
         bad = records[CHUNK_RECORDS]
-        bad.rotation = np.asarray(bad.rotation) * (1.0 + 1e-7)
+        bad.rotation = np.asarray(bad.rotation) * LOOSE_SCALE
         path = tmp_path / "loose.jsonl"
         path.write_bytes(_old_write(records))
         return path
+
+    @staticmethod
+    def _repaired(path, bad_ids):
+        # the file as the reader sees it: the same records, each loose
+        # rotation replaced by the read one, written exactly
+        records = read_labels(path)
+        stored = [json.loads(line)["rotation"] for line in path.read_text().splitlines()]
+        for rec, rotation in zip(records, stored):
+            assert is_rotation(rec.rotation, 1e-13)
+            assert (rec.id in bad_ids) != (rec.rotation.tobytes() == np.array(rotation).tobytes())
+        repaired = path.with_name("repaired.jsonl")
+        repaired.write_bytes(_old_write(records))
+        return repaired
+
+    @staticmethod
+    def _run(argv, path, out, capsys):
+        # exit code, stdout with the output path cut out, and the output's
+        # bytes: a file's, or each file's of a directory
+        code = main([*argv, "--input", str(path), "--output", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        if out.is_dir():
+            return code, stdout, {name: (out / name).read_bytes() for name in os.listdir(out)}
+        return code, stdout, out.read_bytes()
 
     @pytest.mark.parametrize(
         "argv",
@@ -484,33 +512,39 @@ class TestCliErrors:
         ],
     )
     def test_label_commands(self, loose_file, tmp_path, capsys, argv):
-        out = tmp_path / "out.jsonl"
-        assert main([*argv, "--input", str(loose_file), "--output", str(out)]) == 1
-        assert capsys.readouterr().err == NOT_SO3
-        assert sorted(os.listdir(tmp_path)) == ["loose.jsonl"]
+        repaired = self._repaired(loose_file, {"r01024"})
+        got = self._run(argv, loose_file, tmp_path / "out.jsonl", capsys)
+        assert got[0] == 0
+        assert got == self._run(argv, repaired, tmp_path / "want.jsonl", capsys)
 
     def test_draw(self, loose_file, tmp_path, capsys):
-        out = tmp_path / "svg"
-        assert main(["draw", "--input", str(loose_file), "--output", str(out)]) == 1
-        assert capsys.readouterr().err == NOT_SO3
+        repaired = self._repaired(loose_file, {"r01024"})
+        got = self._run(["draw"], loose_file, tmp_path / "svg", capsys)
+        assert got[0] == 0 and len(got[2]) == CHUNK_RECORDS + 1
+        assert got == self._run(["draw"], repaired, tmp_path / "want", capsys)
 
-    def test_a_float32_rounded_record_is_named(self, tmp_path, capsys):
+    def test_a_float32_rounded_record_is_repaired(self, tmp_path, capsys):
         # float32 rounding leaves an SO(3) residual of about 1e-8: the reader
-        # accepts the record, the transforms refuse it by id, writing nothing
+        # accepts the record and replaces its rotation by the nearest one,
+        # which every command then takes as it is
         r = random_rotation(pose_stream(5)).astype(np.float32).astype(float)
         assert is_rotation(r, 1e-6) and not is_rotation(r, 1e-9)
         path = tmp_path / "f32.jsonl"
         path.write_text("".join(json.dumps({"id": rec_id, "rotation": m.ravel().tolist()}) + "\n"
                                 for rec_id, m in (("exact", np.eye(3)), ("f32", r))))
-        out = tmp_path / "out"
-        for argv in (["convert", "--target", "euler_pyr"], ["augment"], ["stats"], ["draw"]):
-            assert main([*argv, "--input", str(path), "--output", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                "rotkit: error: record 'f32': rotation is not a rotation matrix within "
-                "tol=1e-09, though label files are read at 1e-06\n")
-            assert sorted(os.listdir(tmp_path)) == ["f32.jsonl"]
-        assert main(["eval", "--input", str(path), str(path)]) == 0
-        assert main(["pca", "--input", str(path), "--output", str(out)]) == 0
+        repaired = self._repaired(path, {"f32"})
+        for k, argv in enumerate([["convert", "--target", "euler_pyr"],
+                                  ["convert", "--target", "matrix"],
+                                  ["augment"], ["stats"], ["draw"], ["pca"]]):
+            got = self._run(argv, path, tmp_path / f"out{k}", capsys)
+            assert got[0] == 0
+            assert got == self._run(argv, repaired, tmp_path / f"want{k}", capsys), argv
+        # eval sees the repaired rows: they lie at 0 from the written ones
+        report, want = tmp_path / "eval.csv", tmp_path / "want.csv"
+        assert main(["eval", "--input", str(path), str(repaired), "--output", str(report)]) == 0
+        assert main(["eval", "--input", str(repaired), str(repaired), "--output", str(want)]) == 0
+        assert report.read_bytes() == want.read_bytes() == b"id,geodesic_rad\nexact,0.0\nf32,0.0\n"
+        # the library still refuses the loose matrix itself
         with pytest.raises(ValueError) as info:
             euler_range_stats([r])
         assert str(info.value) == "input is not a rotation matrix within tol=1e-09"

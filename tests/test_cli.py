@@ -463,6 +463,26 @@ def test_provenance_surrogate_names_the_record(tmp_path, capsys, command, proven
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["convert", "--target", "matrix"],
+    ["convert", "--target", "euler_pyr"],
+    ["convert", "--target", "euler_rpy"],
+    ["augment"],
+])
+def test_unknown_fields_are_dropped(tmp_path, command):
+    # the README's rule: the reader keeps the label format's fields alone,
+    # so a field it does not know is not written back, with no word
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps({"id": "a", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                "angles": [10, 20, 30]}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main([*command, "--input", str(path), "--output", str(out)]) == 0
+    (obj,) = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    assert obj["id"] == "a" and "angles" not in obj
+    assert set(obj) <= {"id", "rotation", "euler_pyr_deg", "euler_rpy_deg", "gimbal",
+                        "provenance"}
+
+
 def _loaded_modules(code, prefixes):
     """Modules under `prefixes` loaded after running `code` in a fresh interpreter."""
     code += f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"

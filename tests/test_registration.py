@@ -15,6 +15,7 @@ from rotkit import (
     random_rotation,
     rot_x_left,
 )
+from rotkit import registration
 from rotkit.augment import pose_stream
 from rotkit.core import _geodesic_terms, _half_angle
 
@@ -203,6 +204,26 @@ class TestLandmarkSet:
             LandmarkSet(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             LandmarkSet(np.full((3, 3), np.nan))
+
+    def test_horn_does_not_test_a_landmark_set_again(self, monkeypatch):
+        # a LandmarkSet is plane-tested when it is built; horn_rotation then
+        # solves only its 4x4 quaternion matrix, to the same bytes as on arrays
+        rng = pose_stream(215)
+        src = rng.normal(size=(6, 3))
+        dst = src @ random_rotation(rng).T
+        sets = LandmarkSet(src), LandmarkSet(dst)
+        sizes = []
+
+        def counting(a):
+            sizes.append(a.shape)
+            return eigh(a)
+
+        eigh = registration.symmetric_eigh
+        monkeypatch.setattr(registration, "symmetric_eigh", counting)
+        got = horn_rotation(*sets)
+        assert sizes == [(4, 4)]
+        assert got.tobytes() == horn_rotation(src, dst).tobytes()
+        assert sizes == [(4, 4), (3, 3), (4, 4)]
 
 
 class TestPanopticRotation:
