@@ -305,6 +305,98 @@ class TestDefectsChunkReader(TestDefects):
     read = staticmethod(_chunk_read)
 
 
+# The reader's error for each defect case, and for records that break two
+# rules at once (which pins the order of the rules), on record 24, line 25,
+# in the middle of the second chunk.  "<path>" stands for the file's path;
+# "<json>" for the decoder's own text, which Python words differently from
+# version to version.
+ERRORS = {
+    "bad_json": (ParseError, "<path>:25: invalid JSON: Expecting ',' delimiter"),
+    "bool_pyr_view": (ValidationError, "record '24': euler_pyr_deg must be 3 finite JSON numbers"),
+    "bool_rotation": (ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    "bool_rpy_view": (ValidationError, "record '24': euler_rpy_deg must be 3 finite JSON numbers"),
+    "eight_numbers": (ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    "empty_object_provenance": (ValidationError, "record '24': provenance must be a list"),
+    "euler_not_triple": (
+        ValidationError, "record '24': euler_pyr_deg must be 3 finite JSON numbers"),
+    "euler_off": (ValidationError, "record '24': euler_pyr_deg disagrees with rotation "
+                                   "(geodesic 2.999e-03 rad > 1e-06)"),
+    "false_provenance": (ValidationError, "record '24': provenance must be a list"),
+    "gimbal_not_bool": (ValidationError, "record '24': gimbal must be true or false"),
+    "gimbal_past_tol": (ValidationError, "record '24': euler_pyr_deg disagrees with rotation "
+                                         "(geodesic 2.020e-04 rad > 0.0002)"),
+    "id_bool": (ParseError, "<path>:25: 'id' must be a string or an integer"),
+    "id_float": (ParseError, "<path>:25: 'id' must be a string or an integer"),
+    "id_list": (ParseError, "<path>:25: 'id' must be a string or an integer"),
+    "id_null": (ParseError, "<path>:25: 'id' must be a string or an integer"),
+    "id_surrogate": (
+        ValidationError, "record 'a\\ud800': id holds a lone surrogate, which UTF-8 cannot encode"),
+    "image_path_number": (ValidationError, "record '24': image_path must be a string or null"),
+    "image_path_object": (ValidationError, "record '24': image_path must be a string or null"),
+    "image_path_surrogate": (
+        ValidationError,
+        "record '24': image_path holds a lone surrogate, which UTF-8 cannot encode"),
+    "int_past_float": (ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    "int_too_long": (ParseError, "<path>:25: invalid JSON: <json>"),
+    "missing_id": (ParseError, "<path>:25: 'id' and 'rotation' are required"),
+    "missing_rotation": (ParseError, "<path>:25: 'id' and 'rotation' are required"),
+    "nan": (ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    "nested_too_deep": (ParseError, "<path>:25: invalid JSON: <json>"),
+    "not_object": (ParseError, "<path>:25: expected a JSON object"),
+    "not_so3": (ValidationError, "record '24': rotation fails the SO(3) check at 1e-06"),
+    "numeric_string_rotation": (
+        ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    "provenance_key_surrogate": (
+        ValidationError,
+        "record '24': provenance holds a lone surrogate, which UTF-8 cannot encode"),
+    "provenance_not_list": (ValidationError, "record '24': provenance must be a list"),
+    "provenance_too_deep": (
+        ValidationError, "record '24': provenance nests deeper than 64 levels"),
+    "provenance_value_surrogate": (
+        ValidationError,
+        "record '24': provenance holds a lone surrogate, which UTF-8 cannot encode"),
+    "rpy_off": (ValidationError, "record '24': euler_rpy_deg disagrees with rotation "
+                                 "(geodesic 3.299e-03 rad > 1e-06)"),
+    "string_entry": (ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    "string_pyr_view": (
+        ValidationError, "record '24': euler_pyr_deg must be 3 finite JSON numbers"),
+    "string_rotation": (ValidationError, "record '24': rotation must be 9 finite JSON numbers"),
+    # the id's type before the rotation's numbers
+    "id_bool+nan": (ParseError, "<path>:25: 'id' must be a string or an integer"),
+    # SO(3) before the gimbal flag
+    "not_so3+gimbal_not_bool": (
+        ValidationError, "record '24': rotation fails the SO(3) check at 1e-06"),
+    # the views before the provenance
+    "euler_off+provenance_not_list": (
+        ValidationError, "record '24': euler_pyr_deg disagrees with rotation "
+                         "(geodesic 2.999e-03 rad > 1e-06)"),
+    # the first view's numbers before the second view's geodesic
+    "euler_not_triple+rpy_off": (
+        ValidationError, "record '24': euler_pyr_deg must be 3 finite JSON numbers"),
+}
+
+
+def test_errors_cover_every_defect():
+    assert set(DEFECTS) <= set(ERRORS)
+
+
+@pytest.mark.parametrize("read", [read_labels, _chunk_read], ids=["read_labels", "chunks"])
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_error_text(tmp_path, small_chunks, case, read):
+    where = CHUNK + CHUNK // 2
+    items = _objects(3 * CHUNK + 5, seed=0)
+    for defect in case.split("+"):
+        items[where] = DEFECTS[defect](items[where])
+    path = _write(tmp_path / "bad.jsonl", items)
+    kind, message = ERRORS[case]
+    if "<json>" in message:
+        try:
+            json.loads(items[where])
+        except (ValueError, RecursionError) as exc:
+            message = message.replace("<json>", str(exc))
+    assert _outcome(read, path) == (kind, message.replace("<path>", str(path)))
+
+
 class TestToleranceEdges:
     read = staticmethod(read_labels)
 
