@@ -16,22 +16,19 @@ Floats are serialized with shortest round-trip decimals, so write-then-read
 reproduces rotations that pass ORTHO_TOL bit-exactly.
 
 Numbers are JSON numbers: a string, object or boolean in the rotation or
-a view is refused, never parsed.  Each field rule exists once and works on
-columns (the id and flag type sets, _float_rows for the numbers,
-_extras_error for the image path and provenance); record_from_dict applies
-it to one record and _chunk_batched to a chunk, so both accept the same
-records.
+a view is refused, never parsed.  The contract is one rule set, _validate,
+which runs each rule on the columns of n decoded objects; record_from_dict
+is _validate on one record.
 
 Files are read CHUNK_RECORDS lines at a time.  Each chunk is decoded line
-by line and validated with batched kernels, and comes out as columns: its
-ids, one (n, 3, 3) rotation stack, image paths, Euler views, gimbal flags
-and provenance (_Chunk, from _read_chunk).  record_from_dict is the
-per-record contract and the only source of error messages; only a chunk
-that holds a bad record is re-read with it, which raises the first error.
-read_labels builds PoseRecords from the chunks.  _columns is the one
-gather of PoseRecords into a _Chunk, used by the record-by-record reader
-and by write_labels, and one column encoder (_encode_columns), which takes
-a chunk's fields, writes every label file.
+by line, validated at once and comes out as columns: its ids, one
+(n, 3, 3) rotation stack, image paths, Euler views, gimbal flags and
+provenance (_Chunk, from _read_chunk).  A chunk that fails is validated
+again one record at a time, which raises the first bad record's error in
+file order.  read_labels builds PoseRecords from the chunks.  _columns is
+the one gather of PoseRecords into a _Chunk, used by the record-by-record
+reader and by write_labels, and one column encoder (_encode_columns),
+which takes a chunk's fields, writes every label file.
 
 The CLI runs its chunks on the fork map (_map_chunks for a label file,
 _map_ranges for spiral's poses): one os.fork worker per CPU, each
@@ -45,7 +42,6 @@ same calls run in-process.
 """
 
 import json
-import math
 import os
 import pickle
 import stat
@@ -59,11 +55,8 @@ import numpy as np
 from .core import (
     _CONVENTIONS,
     ORTHO_TOL,
-    _compose,
     _compose_rows,
     _geodesic_rows,
-    _geodesic_terms,
-    _half_angle,
     _nearest_rotation,
     _so3_gaps,
 )
@@ -191,59 +184,6 @@ def _float_rows(rows: list, width: int) -> Optional[np.ndarray]:
     return a if np.isfinite(a).all() else None
 
 
-def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
-    """Validate one decoded JSON object into a PoseRecord."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object")
-    if "id" not in obj or "rotation" not in obj:
-        raise ParseError(f"{where}: 'id' and 'rotation' are required")
-    if type(obj["id"]) not in _ID_TYPES:
-        raise ParseError(f"{where}: 'id' must be a string or an integer")
-    rec_id = str(obj["id"])
-
-    flat = _float_rows([obj["rotation"]], 9)
-    if flat is None:
-        raise ValidationError(f"record {rec_id!r}: rotation must be 9 finite JSON numbers")
-    m = flat[0].tolist()
-    gaps = _so3_gaps(m)
-    if not all([gap <= FILE_ORTHO_TOL for gap in gaps]):
-        raise ValidationError(
-            f"record {rec_id!r}: rotation fails the SO(3) check at {FILE_ORTHO_TOL:g}"
-        )
-
-    gimbal = obj.get("gimbal")
-    if type(gimbal) not in _FLAG_TYPES:
-        raise ValidationError(f"record {rec_id!r}: gimbal must be true or false")
-    tol = GIMBAL_CONSISTENCY_TOL if gimbal else EULER_CONSISTENCY_TOL
-
-    views = []
-    for field_name, convention in _VIEWS:
-        view = None
-        if obj.get(field_name) is not None:
-            row = _float_rows([obj[field_name]], 3)
-            if row is None:
-                raise ValidationError(
-                    f"record {rec_id!r}: {field_name} must be 3 finite JSON numbers"
-                )
-            view = tuple(row[0].tolist())
-            # geodesic_distance minus its checks: both matrices are rotations
-            composed = _compose([math.radians(v) for v in view], convention)
-            dist = _half_angle(*_geodesic_terms(composed.ravel().tolist(), m))
-            if dist > tol:
-                raise ValidationError(f"record {rec_id!r}: {field_name} disagrees with rotation "
-                                      f"(geodesic {dist:.3e} rad > {tol:g})")
-        views.append(view)
-
-    image_path, provenance = obj.get("image_path"), _provenance(obj)
-    error = _extras_error([rec_id], [image_path], [provenance])
-    if error:
-        raise ValidationError(f"record {rec_id!r}: {error}")
-    if not all([gap <= ORTHO_TOL for gap in gaps]):
-        flat = np.array([_nearest_rotation(m)])
-    # positional: keywords cost more
-    return PoseRecord(rec_id, flat.reshape(3, 3), image_path, *views, bool(gimbal), provenance)
-
-
 def record_to_dict(rec: PoseRecord) -> dict:
     return _record_obj(
         rec.id,
@@ -298,26 +238,6 @@ def _encode_columns(
     )
 
 
-def _chunk_views(column: list, rotations, convention: str, tols) -> Optional[list]:
-    # One convention's Euler views (degrees, a JSON value or None per
-    # record) against their rows of rotations, as in record_from_dict:
-    # geodesic from the composed view to the matrix.  Returns column with
-    # each view as a tuple, or None when some view is malformed or too far
-    # off.
-    idx = [i for i, view in enumerate(column) if view is not None]
-    if not idx:
-        return column
-    views = _float_rows([column[i] for i in idx], 3)
-    if views is None:
-        return None
-    dist = _geodesic_rows(_compose_rows(np.radians(views), convention), rotations[idx])
-    if not (dist <= tols[idx]).all():
-        return None
-    for i, view in zip(idx, map(tuple, views.tolist())):
-        column[i] = view
-    return column
-
-
 class _Chunk(NamedTuple):
     """Up to CHUNK_RECORDS validated records, as columns.
 
@@ -334,43 +254,94 @@ class _Chunk(NamedTuple):
     provenance: list
 
 
-def _chunk_batched(objs: list) -> Optional[_Chunk]:
-    """The chunk record_from_dict would accept from objs, or None.
+def _validate(objs: list, where: str) -> _Chunk:
+    """The columns of objs, decoded JSON objects that each keep the label
+    contract; else the first rule's ParseError or ValidationError.
 
-    None means some object may break the contract; the caller then
-    re-validates one record at a time, which raises the first error.
+    Each rule runs on the columns of all of objs before the next rule runs.
+    A message names where and the id of objs[0], so it is exact when objs
+    holds one record: the reader validates a chunk at once, and a chunk
+    that fails one record at a time.  A row that passes FILE_ORTHO_TOL but
+    not ORTHO_TOL is repaired (_repair) once every rule has held.
     """
-    for obj in objs:
-        if not isinstance(obj, dict) or "id" not in obj or "rotation" not in obj:
-            return None
+    if not all([isinstance(obj, dict) for obj in objs]):
+        raise ParseError(f"{where}: expected a JSON object")
+    if not all(["id" in obj and "rotation" in obj for obj in objs]):
+        raise ParseError(f"{where}: 'id' and 'rotation' are required")
     ids = [obj["id"] for obj in objs]
-    flags = [obj.get("gimbal") for obj in objs]
-    if not (set(map(type, ids)) <= _ID_TYPES and set(map(type, flags)) <= _FLAG_TYPES):
-        return None
+    if not set(map(type, ids)) <= _ID_TYPES:
+        raise ParseError(f"{where}: 'id' must be a string or an integer")
+    ids = list(map(str, ids))
+    name = f"record {ids[0]!r}"
+
     flat = _float_rows([obj["rotation"] for obj in objs], 9)
     if flat is None:
-        return None
-    rotations = flat.reshape(-1, 3, 3)
-    gaps = np.maximum.reduce(_so3_gaps(flat.T))  # each row's worst, as in record_from_dict
+        raise ValidationError(f"{name}: rotation must be 9 finite JSON numbers")
+    gaps = np.maximum.reduce(_so3_gaps(flat.T))  # each row's worst
     if not (gaps <= FILE_ORTHO_TOL).all():
-        return None
+        raise ValidationError(f"{name}: rotation fails the SO(3) check at {FILE_ORTHO_TOL:g}")
+    flags = [obj.get("gimbal") for obj in objs]
+    if not set(map(type, flags)) <= _FLAG_TYPES:
+        raise ValidationError(f"{name}: gimbal must be true or false")
+
+    # each view against its row: geodesic from the composed view to the matrix
+    rotations = flat.reshape(-1, 3, 3)
     tols = np.array([GIMBAL_CONSISTENCY_TOL if flag else EULER_CONSISTENCY_TOL for flag in flags])
     views = []
     for field_name, convention in _VIEWS:
-        column = _chunk_views([obj.get(field_name) for obj in objs], rotations, convention, tols)
-        if column is None:
-            return None
+        column = [obj.get(field_name) for obj in objs]
+        idx = [i for i, view in enumerate(column) if view is not None]
+        if idx:
+            rows = _float_rows([column[i] for i in idx], 3)
+            if rows is None:
+                raise ValidationError(f"{name}: {field_name} must be 3 finite JSON numbers")
+            dist = _geodesic_rows(_compose_rows(np.radians(rows), convention), rotations[idx])
+            off = dist > tols[idx]
+            if off.any():
+                k = int(np.argmax(off))
+                raise ValidationError(f"{name}: {field_name} disagrees with rotation "
+                                      f"(geodesic {dist[k]:.3e} rad > {tols[idx[k]]:g})")
+            for i, view in zip(idx, map(tuple, rows.tolist())):
+                column[i] = view
         views.append(column)
 
-    ids = list(map(str, ids))
-    image_paths = [obj.get("image_path") for obj in objs]
-    provenance = list(map(_provenance, objs))
-    if _extras_error(ids, image_paths, provenance):
-        return None
-    loose = gaps > ORTHO_TOL  # repaired last, to record_from_dict's bytes
-    if loose.any():
-        rotations[loose] = np.stack(_nearest_rotation(flat[loose].T), axis=-1).reshape(-1, 3, 3)
+    image_paths, provenance = [obj.get("image_path") for obj in objs], list(map(_provenance, objs))
+    error = _extras_error(ids, image_paths, provenance)
+    if error:
+        raise ValidationError(f"{name}: {error}")
+    _repair(rotations, gaps)
     return _Chunk(ids, rotations, image_paths, tuple(views), list(map(bool, flags)), provenance)
+
+
+def _repair(rotations: np.ndarray, gaps: np.ndarray) -> None:
+    # Replace in place each row of an (n, 3, 3) stack whose worst SO(3) gap
+    # (gaps, one per row, each within FILE_ORTHO_TOL) fails ORTHO_TOL by its
+    # nearest rotation.
+    loose = gaps > ORTHO_TOL
+    if loose.any():
+        flat = rotations[loose].reshape(-1, 9)
+        rotations[loose] = np.stack(_nearest_rotation(flat.T), axis=-1).reshape(-1, 3, 3)
+
+
+def _records(chunk: _Chunk) -> Iterator[PoseRecord]:
+    # positional, _Chunk's columns in PoseRecord's order with the views spread
+    return map(PoseRecord, chunk.ids, chunk.rotations, chunk.image_paths, *chunk.views,
+               chunk.gimbal, chunk.provenance)
+
+
+def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
+    """Validate one decoded JSON object into a PoseRecord."""
+    return next(_records(_validate([obj], where)))
+
+
+def _chunk_batched(objs: list) -> Optional[_Chunk]:
+    """_validate(objs), or None where it raises: some object breaks the
+    contract, and the caller re-validates one record at a time to raise the
+    first error."""
+    try:
+        return _validate(objs, "record")
+    except ValidationError:  # ParseError too
+        return None
 
 
 def _columns(records: list) -> _Chunk:
@@ -400,7 +371,9 @@ def _chunk_one_by_one(path, lines, objs) -> _Chunk:
 
 def _read_chunk(path, lines) -> _Chunk:
     # lines: (lineno, text) pairs.  Errors surface in file order: a record
-    # that breaks the contract raises before a later line's bad JSON.
+    # that breaks the contract raises before a later line's bad JSON, so the
+    # records before bad JSON are validated first, as a chunk and, if that
+    # fails, one at a time.
     objs = []
     for lineno, line in lines:
         try:
@@ -409,7 +382,8 @@ def _read_chunk(path, lines) -> _Chunk:
         # integer of more than sys.get_int_max_str_digits() digits and
         # RecursionError for arrays or objects nested too deep
         except (ValueError, RecursionError) as exc:
-            _chunk_one_by_one(path, lines, objs)
+            if objs and _chunk_batched(objs) is None:
+                _chunk_one_by_one(path, lines, objs)
             msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
             raise ParseError(f"{path}:{lineno}: invalid JSON: {msg}") from None
     chunk = _chunk_batched(objs)
@@ -760,12 +734,7 @@ def read_labels(path) -> List[PoseRecord]:
     same errors, in the same order, as record_from_dict line by line.
     Each record's rotation is a row view of its chunk's (n, 3, 3) array.
     """
-    return [
-        PoseRecord(*fields)  # _Chunk's columns in PoseRecord's order, views spread
-        for chunk in _read_chunks(path)
-        for fields in zip(chunk.ids, chunk.rotations, chunk.image_paths, *chunk.views,
-                          chunk.gimbal, chunk.provenance)
-    ]
+    return [rec for chunk in _read_chunks(path) for rec in _records(chunk)]
 
 
 def _write_records(fh, records) -> None:

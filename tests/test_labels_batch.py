@@ -1,4 +1,11 @@
-"""The chunked, batched read_labels against record_from_dict line by line."""
+"""The chunked read_labels against record_from_dict line by line.
+
+record_from_dict is the reader's one validator run on a single record, so
+comparing the two checks the chunking: that a valid chunk is read as its
+records are one by one, that a failed chunk raises the error of its first
+bad line, and the bytes that come out.  The messages themselves, and the
+order in which the rules run, are pinned as literals in ERRORS.
+"""
 
 import json
 import math
