@@ -5,8 +5,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import _geodesic_batch
-from .labels import FILE_ORTHO_TOL, PoseRecord, ValidationError, _columns
+from .core import _geodesic_rows, _so3_gaps
+from .labels import FILE_ORTHO_TOL, PoseRecord, ValidationError, _columns, _repair
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,10 @@ def _truth_rows(pred_ids: Sequence[str], truth_ids: Sequence[str]) -> List[int]:
 
 
 def _evaluate_stacks(pred_ids, pred: np.ndarray, truth_ids, truth: np.ndarray) -> EvalReport:
-    """mean_geodesic_error over ids and (n, 3, 3) stacks, as a label file
-    reads; records come from label files, which admit the looser file
-    tolerance."""
-    truth = truth[_truth_rows(pred_ids, truth_ids)]
-    distances = _geodesic_batch(pred, truth, tol=FILE_ORTHO_TOL).tolist()
+    """mean_geodesic_error over ids and (n, 3, 3) stacks whose rotations
+    pass ORTHO_TOL, as the label reader returns them; they are not checked
+    again."""
+    distances = _geodesic_rows(pred, truth[_truth_rows(pred_ids, truth_ids)]).tolist()
     # the middle of the sorted distances, (a + b) / 2 of two as np.median
     # has it; np.median would import numpy.ma
     ordered, mid = sorted(distances), len(distances) // 2
@@ -71,6 +70,19 @@ def mean_geodesic_error(
 
     The id sets must match exactly; silent intersection would corrupt
     benchmark numbers, so any mismatch is a hard error listing the ids.
+    Rotations are taken as a label file's are read: each must pass the
+    SO(3) check at FILE_ORTHO_TOL, and one that fails ORTHO_TOL is measured
+    as its nearest rotation (labels._repair), so records give the same
+    distances in memory as once written and read back.
     """
-    pred, truth = _columns(list(predictions)), _columns(list(ground_truth))
-    return _evaluate_stacks(pred.ids, pred.rotations, truth.ids, truth.rotations)
+    stacks = []
+    for records, what in ((predictions, "first argument"), (ground_truth, "second argument")):
+        chunk = _columns(list(records))
+        gaps = np.maximum.reduce(_so3_gaps(chunk.rotations.reshape(-1, 9).T))
+        ok = gaps <= FILE_ORTHO_TOL
+        if not ok.all():
+            raise ValueError(f"{what} row {int(np.argmin(ok))} is not a rotation matrix "
+                             f"within tol={FILE_ORTHO_TOL:g}")
+        _repair(chunk.rotations, gaps)
+        stacks += [chunk.ids, chunk.rotations]
+    return _evaluate_stacks(*stacks)

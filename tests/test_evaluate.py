@@ -1,14 +1,18 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from rotkit import (
     PoseRecord,
     ValidationError,
+    is_rotation,
     mean_geodesic_error,
     random_rotation,
+    read_labels,
     rot_z_left,
+    write_labels,
 )
 from rotkit.augment import pose_stream
 
@@ -75,6 +79,30 @@ def test_accepts_file_tolerance_rotations():
     preds = [PoseRecord(id=r.id, rotation=r.rotation * (1.0 + 3e-8)) for r in truth]
     report = mean_geodesic_error(preds, truth)
     assert report.max < 1e-3
+
+
+def test_same_distances_in_memory_and_read_back(tmp_path):
+    # float32-rounded rotations pass the file tolerance but not ORTHO_TOL;
+    # in memory and read back from a file, their nearest rotations are measured
+    def rounded(records):
+        return [PoseRecord(id=r.id, rotation=r.rotation.astype(np.float32).astype(float))
+                for r in records]
+
+    truth = _records(30, seed=14)
+    preds = rounded(_records(20, seed=15)) + [
+        PoseRecord(id=r.id, rotation=rot_z_left(0.3) @ r.rotation) for r in truth[20:]]
+    truth = rounded(truth[:10]) + truth[10:]
+    assert not any(is_rotation(r.rotation) for r in preds[:20] + truth[:10])
+    write_labels(preds, tmp_path / "pred.jsonl")
+    write_labels(truth, tmp_path / "truth.jsonl")
+    in_memory = mean_geodesic_error(preds, truth)
+    read_back = mean_geodesic_error(read_labels(tmp_path / "pred.jsonl"),
+                                    read_labels(tmp_path / "truth.jsonl"))
+    ids, distances = zip(*in_memory.per_record)
+    assert list(ids) == [r.id for r in preds]
+    assert np.array(distances).tobytes() == np.array([d for _, d in read_back.per_record]).tobytes()
+    assert (in_memory.mean, in_memory.median, in_memory.max) == (
+        read_back.mean, read_back.median, read_back.max)
 
 
 def test_symmetric_in_file_order():
