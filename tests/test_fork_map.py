@@ -216,6 +216,44 @@ def test_missing_input_is_an_io_error(tmp_path, good, monkeypatch, capsys, comma
     assert err == f"rotkit: i/o error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
+def _not_utf8(tmp_path, good):
+    # the good file with byte 0xff at offset 100 of its second 8 KB block,
+    # which the UTF-8 decoder reads as one block
+    data = bytearray(good.read_bytes())
+    data[8192 + 100] = 0xFF
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(bytes(data))
+    return str(bad)
+
+
+def _directory(tmp_path, good):
+    os.mkdir(tmp_path / "dir")
+    return str(tmp_path / "dir")
+
+
+# input, exit code and the error line without its path
+READ_ERRORS = {
+    "not_utf8": (_not_utf8, 1,
+                 "rotkit: error: 'utf-8' codec can't decode byte 0xff in position 100: "
+                 "invalid start byte\n"),
+    "directory": (_directory, 2, "rotkit: i/o error: [Errno 21] Is a directory: {path!r}\n"),
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("error", sorted(READ_ERRORS))
+def test_read_error_is_reported(tmp_path, good, monkeypatch, capsys, error, command, cores):
+    make, status, message = READ_ERRORS[error]
+    path = make(tmp_path, good)
+    paths = {"IN": path, "GOOD": str(good)}
+    code, out, err, files = _run(COMMANDS[command], paths, tmp_path / "out", cores,
+                                 monkeypatch, capsys)
+    assert (code, out, files) == (status, "", {})
+    assert err == message.format(path=path)
+    _assert_no_children()
+
+
 def test_pipe_input_is_read_once_in_process(tmp_path, good, monkeypatch, capsys):
     # a named pipe is not counted ahead, so the writer sees one reader
     fifo = str(tmp_path / "fifo")
