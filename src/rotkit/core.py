@@ -279,24 +279,6 @@ def _nearest_rotation(m) -> list:
     return m
 
 
-def _geodesic_batch(a, b, tol: float) -> np.ndarray:
-    """geodesic_distance between paired rows of two (n, 3, 3) stacks; (n,)."""
-    stacks = []
-    for m, what in ((a, "first argument"), (b, "second argument")):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 3 or m.shape[1:] != (3, 3):
-            raise ValueError(f"{what} is not an (n, 3, 3) stack: shape {m.shape}")
-        ok = _is_rotation_batch(m, tol)
-        if not ok.all():
-            raise ValueError(
-                f"{what} row {int(np.argmin(ok))} is not a rotation matrix within tol={tol:g}"
-            )
-        stacks.append(m)
-    if len(stacks[0]) != len(stacks[1]):
-        raise ValueError(f"stacks differ in length: {len(stacks[0])} vs {len(stacks[1])}")
-    return _geodesic_rows(*stacks)
-
-
 def _compose_rows(angles: np.ndarray, convention: str) -> np.ndarray:
     """_compose over an (n, 3) array of finite angle rows; (n, 3, 3).
 

@@ -30,17 +30,20 @@ the one gather of PoseRecords into a _Chunk, used by the record-by-record
 reader and by write_labels, and one column encoder (_encode_columns),
 which takes a chunk's fields, writes every label file.
 
-The CLI runs its chunks on the fork map (_map_chunks for a label file,
-_map_ranges for spiral's poses): one os.fork worker per CPU, each
-reading the file itself and working on every W-th chunk, with the results
-taken back in file order and the first error in file order raised.  The
-workers of `augment`, `convert` and `spiral` return encoded text, those of
-`eval`, `stats`, `pca` and `draw` ids, image paths and an (n, 3, 3) stack
-(_read_stack), which a content-addressed cache then serves again without
-a fork or a JSON decode; only the parent writes.  With one worker the
+The CLI runs its chunks on the fork map: one os.fork worker per CPU,
+each walking the input's lines itself and working on every W-th chunk,
+with the results taken back in file order and the first error in file
+order raised.  The workers of `augment` and `convert` each open and
+stream the label file (_map_chunks) and, like those of `spiral`
+(_map_ranges), return encoded text.  `eval`, `stats`, `pca` and `draw`
+read their input once, whole (_read_stack): its bytes key a
+content-addressed cache, which serves ids, image paths and an (n, 3, 3)
+stack again without a fork or a JSON decode, and on a miss the workers
+parse those same bytes.  Only the parent writes.  With one worker the
 same calls run in-process.
 """
 
+import io
 import json
 import os
 import pickle
@@ -390,10 +393,11 @@ def _read_chunk(path, lines) -> _Chunk:
     return _chunk_one_by_one(path, lines, objs) if chunk is None else chunk
 
 
-def _line_chunks(path) -> Iterator[list]:
-    """A label file's non-blank lines as (lineno, line) pairs, CHUNK_RECORDS at a time."""
+def _line_chunks(fh) -> Iterator[list]:
+    """The non-blank lines of fh, an open text stream of a label file, as
+    (lineno, line) pairs, CHUNK_RECORDS at a time; fh is closed at the end."""
     lines = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -411,7 +415,7 @@ def _read_chunks(path) -> Iterator[_Chunk]:
     Raises the errors of read_labels, in the same order; a chunk's errors
     surface before it is yielded, so only earlier chunks have been seen.
     """
-    for lines in _line_chunks(path):
+    for lines in _line_chunks(open(path, "r", encoding="utf-8")):
         yield _read_chunk(path, lines)
 
 
@@ -531,14 +535,15 @@ def _fork_map(groups, work, workers: int) -> Iterator:
 def _map_chunks(path, work) -> Iterator:
     """work(start, chunk) for each validated chunk of a label file, in file
     order, where start is the index of the chunk's first record; on the
-    fork map (_fork_map), one worker per CPU, or in-process for anything
-    but a regular file (a pipe or a device, which is opened once).
+    fork map (_fork_map), one worker per CPU, each opening and streaming
+    the file so that memory stays flat, or in-process for anything but a
+    regular file (a pipe or a device, which is opened once).
 
     The errors and their order are those of _read_chunks.
     """
     regular = stat.S_ISREG(os.stat(path).st_mode)
     return _fork_map(
-        lambda: _line_chunks(path),
+        lambda: _line_chunks(open(path, "r", encoding="utf-8")),
         lambda k, lines: work(k * CHUNK_RECORDS, _read_chunk(path, lines)),
         _workers() if regular else 1,
     )
@@ -559,27 +564,34 @@ def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
     """A label file's ids, its image paths and its rotations as one
     (n, 3, 3) array.
 
-    A regular file is first looked up in the stack cache (_cache_entry); a
-    miss is read on the fork map and then stored, unless the file's device,
-    inode, size or mtime changed during the read or its bytes no longer
-    hash to the key: the workers read the file again, and a rewrite in
-    place can keep its size and mtime.  A failed read raises before
-    anything is stored.
+    The input, a file or a pipe, is read once, whole: its bytes are looked
+    up in the stack cache (_cache_entry), and on a miss the fork map's
+    workers parse those same bytes, so the entry then stored holds what
+    its key's bytes parse to.  The parent holds the bytes until they are
+    parsed.  A failed read raises before anything is stored.
     """
-    entry = _cache_entry(path)
-    if entry is not None:
-        hit = _load_entry(entry[0])
-        if hit is not None:
-            return hit
-    columns = _map_chunks(path, lambda _, chunk: (chunk.ids, chunk.image_paths, chunk.rotations))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entry = _cache_entry(data)
+    hit = None if entry is None else _load_entry(entry)
+    if hit is not None:
+        return hit
+
+    columns = _fork_map(
+        # the decoder and 8 KB blocks of open(path, "r"), so errors read the same
+        lambda: _line_chunks(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")),
+        lambda _, lines: _read_chunk(path, lines)[:3],  # ids, rotations, image paths
+        _workers(),
+    )
     ids, image_paths, stacks = [], [], []
-    for chunk_ids, chunk_paths, rotations in columns:
+    for chunk_ids, rotations, chunk_paths in columns:
         ids += chunk_ids
         image_paths += chunk_paths
         stacks.append(rotations)
+    del data  # the input's bytes go before the stack is gathered and stored
     stack = np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
-    if entry is not None and _file_state(path) == entry[2] and _file_digest(path) == entry[1]:
-        _store_entry(entry[0], ids, image_paths, stack)
+    if entry is not None:
+        _store_entry(entry, ids, image_paths, stack)
     return ids, image_paths, stack
 
 
@@ -618,38 +630,11 @@ def _sha256(data=b""):
     return hashlib.sha256(data)
 
 
-def _file_state(path):
-    # What a rewrite in place changes: device, inode, size and mtime; None
-    # for anything but a regular file.
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    if not stat.S_ISREG(st.st_mode):
-        return None
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _file_digest(path) -> Optional[bytes]:
-    # The sha256 of a file's bytes, or None if it cannot be read.
-    digest = _sha256()
-    try:
-        with open(path, "rb") as fh:
-            while block := fh.read(1 << 20):
-                digest.update(block)
-    except OSError:
-        return None
-    return digest.digest()
-
-
-def _cache_entry(path):
-    # (entry path, _file_digest, _file_state) of a regular label file when
-    # a cache directory is known, else None.  An error is left for the read
-    # to raise.
+def _cache_entry(data: bytes) -> Optional[str]:
+    # The entry path of a label file's bytes when a cache directory is
+    # known and rotkit's sources can be read, else None.
     directory = _cache_dir()
-    state = None if directory is None else _file_state(path)
-    content = None if state is None else _file_digest(path)
-    if content is None:
+    if directory is None:
         return None
     key = _sha256(np.__version__.encode())
     here = os.path.dirname(os.path.abspath(__file__))
@@ -660,8 +645,8 @@ def _cache_entry(path):
                     key.update(name.encode() + _sha256(fh.read()).digest())
     except OSError:
         return None
-    key.update(content)
-    return os.path.join(directory, key.hexdigest() + _ENTRY_SUFFIX), content, state
+    key.update(_sha256(data).digest())
+    return os.path.join(directory, key.hexdigest() + _ENTRY_SUFFIX)
 
 
 def _load_entry(entry) -> Optional[Tuple[List[str], list, np.ndarray]]:

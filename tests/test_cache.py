@@ -106,14 +106,20 @@ def _rewrite_in_place(path):
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
 
 
+def _state(path):
+    # what a rewrite in place changes: device, inode, size and mtime
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def test_same_size_rewrite_with_its_mtime_restored_is_a_miss(tmp_path, cache, inputs,
                                                              monkeypatch, capsys):
     path = inputs["IN"]
     _cache_on(monkeypatch, cache)
     assert _run(COMMANDS["pca"], inputs, tmp_path / "first", 2, monkeypatch, capsys)[0] == 0
-    state = labels._file_state(path)
+    state = _state(path)
     _rewrite_in_place(path)
-    assert labels._file_state(path) == state
+    assert _state(path) == state
     got = _run(COMMANDS["pca"], inputs, tmp_path / "second", 2, monkeypatch, capsys)
     assert len(_entries(cache)) == 2
     _cache_off(monkeypatch)
@@ -121,28 +127,37 @@ def test_same_size_rewrite_with_its_mtime_restored_is_a_miss(tmp_path, cache, in
     assert got == want
 
 
-def test_same_size_rewrite_during_the_read_is_not_stored(tmp_path, cache, inputs,
-                                                         monkeypatch, capsys):
-    # The workers read the rewritten bytes, which the key's hash never saw,
-    # and the file's state is the same after the read as before it.
-    path, map_chunks = inputs["IN"], labels._map_chunks
+def test_rewrite_during_the_read_gives_the_bytes_read(tmp_path, cache, inputs, monkeypatch,
+                                                      capsys):
+    # The file is rewritten (same size) after it was read and before the
+    # workers parse it: they parse the bytes that were read and keyed.
+    path, fork_map = inputs["IN"], labels._fork_map
+    with open(path, "rb") as fh:
+        read = fh.read()
+    want = _run(COMMANDS["pca"], inputs, tmp_path / "off", 2, monkeypatch, capsys)
 
     def rewriting(*args):
         _rewrite_in_place(path)
-        return map_chunks(*args)
+        return fork_map(*args)
 
     _cache_on(monkeypatch, cache)
-    monkeypatch.setattr(labels, "_map_chunks", rewriting)
-    state = labels._file_state(path)
+    monkeypatch.setattr(labels, "_fork_map", rewriting)
     got = _run(COMMANDS["pca"], inputs, tmp_path / "during", 2, monkeypatch, capsys)
-    assert labels._file_state(path) == state
-    assert _entries(cache) == []
-    monkeypatch.setattr(labels, "_map_chunks", map_chunks)
-    again = _run(COMMANDS["pca"], inputs, tmp_path / "again", 2, monkeypatch, capsys)
+    assert got == want and want[0] == 0
     assert len(_entries(cache)) == 1
-    _cache_off(monkeypatch)
-    want = _run(COMMANDS["pca"], inputs, tmp_path / "off", 2, monkeypatch, capsys)
-    assert got == again == want and want[0] == 0
+    monkeypatch.setattr(labels, "_fork_map", fork_map)
+    rewritten = _run(COMMANDS["pca"], inputs, tmp_path / "rewritten", 2, monkeypatch, capsys)
+    assert rewritten[0] == 0 and rewritten != want
+    assert len(_entries(cache)) == 2  # a miss
+    with open(path, "wb") as fh:
+        fh.write(read)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _run(COMMANDS["pca"], inputs, tmp_path / "back", 2, monkeypatch, capsys) == want
+    assert len(_entries(cache)) == 2  # a hit
 
 
 def _recount(data, delta):
@@ -224,21 +239,6 @@ def test_defect_repeats_its_error_and_leaves_no_entry(tmp_path, cache, monkeypat
     assert want[0] == 1 and want[2].startswith("rotkit: error: ")
     assert _entries(cache) == []
     _assert_no_children()
-
-
-def test_file_changed_during_the_read_is_not_stored(tmp_path, cache, inputs, monkeypatch,
-                                                    capsys):
-    path, map_chunks = inputs["IN"], labels._map_chunks
-
-    def touching(*args):
-        yield from map_chunks(*args)
-        st = os.stat(path)
-        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
-
-    monkeypatch.setattr(labels, "_map_chunks", touching)
-    _cache_on(monkeypatch, cache)
-    assert _run(COMMANDS["stats"], inputs, tmp_path / "out", 2, monkeypatch, capsys)[0] == 0
-    assert _entries(cache) == []
 
 
 def test_least_recently_used_entries_go(tmp_path, cache, monkeypatch):

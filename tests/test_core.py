@@ -20,9 +20,7 @@ from rotkit import (
     wrap_angle,
 )
 from rotkit.core import (
-    ORTHO_TOL,
     _compose_rows,
-    _geodesic_batch,
     _geodesic_rows,
     _is_rotation_batch,
     _mul,
@@ -208,7 +206,7 @@ class TestGeodesicDistance:
         rng = np.random.default_rng(29)
         rots = np.stack([random_rotation(rng) for _ in range(50)])
         assert all(geodesic_distance(r, r.copy()) == 0.0 for r in rots)
-        assert not _geodesic_batch(rots, rots.copy(), ORTHO_TOL).any()
+        assert not _geodesic_rows(rots, rots.copy()).any()
 
     def test_small_angles_keep_relative_precision(self):
         # the arccos form returns 0 or 1.5e-8 for every angle near 1e-8;
@@ -274,9 +272,9 @@ class TestBatchedKernels:
         b[:8] = a[:8] @ rot_z_left(1e-7)
         b[8:16] = a[8:16] @ rot_z_left(math.pi - 1e-5)
         b[16] = a[16]
-        d = _geodesic_batch(a, b, ORTHO_TOL)
+        d = _geodesic_rows(a, b)
         assert d.tolist() == [geodesic_distance(x, y) for x, y in zip(a, b)]
-        assert np.array_equal(d, _geodesic_batch(b, a, ORTHO_TOL))
+        assert np.array_equal(d, _geodesic_rows(b, a))
 
     def test_gaps_and_view_distances_equal_the_scalar_ones(self):
         # read_labels accepts a chunk in bulk when these pass, with no
@@ -334,15 +332,6 @@ class TestBatchedKernels:
                 c = abs(p[k][j] - p[j][k]) / (2.0 * math.sqrt(1.0 + 2.0 * p[i][i] - tr))
             want.append(2.0 * math.atan2(math.sqrt(s2), c))
         assert _geodesic_rows(a, b).tobytes() == np.array(want).tobytes()
-
-    def test_geodesic_batch_names_bad_row(self):
-        a = np.stack([np.eye(3), 2.0 * np.eye(3)])
-        with pytest.raises(ValueError, match="second argument row 1"):
-            _geodesic_batch(np.stack([np.eye(3)] * 2), a, ORTHO_TOL)
-        with pytest.raises(ValueError, match="first argument is not an"):
-            _geodesic_batch(np.eye(3), np.eye(3), ORTHO_TOL)
-        with pytest.raises(ValueError, match="differ in length"):
-            _geodesic_batch(np.stack([np.eye(3)] * 2), np.eye(3)[None], ORTHO_TOL)
 
 
 class TestWrapAngle:

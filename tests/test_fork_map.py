@@ -254,14 +254,28 @@ def test_read_error_is_reported(tmp_path, good, monkeypatch, capsys, error, comm
     _assert_no_children()
 
 
-def test_pipe_input_is_read_once_in_process(tmp_path, good, monkeypatch, capsys):
-    # a named pipe is not counted ahead, so the writer sees one reader
+def test_pipe_input_is_read_once_and_cached(tmp_path, good, monkeypatch, capsys):
+    # the parent reads a named pipe once, whole, so the writer sees one
+    # reader; a second pipe with the same bytes is a cache hit, with no fork
+    want = _run(COMMANDS["stats"], {"IN": str(good)}, tmp_path / "file", 2, monkeypatch, capsys)
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(labels, "_cache_dir", lambda: str(cache))
     fifo = str(tmp_path / "fifo")
     os.mkfifo(fifo)
-    writer = subprocess.Popen(["sh", "-c", f"cat '{good}' > '{fifo}'"])
-    try:
-        piped = _run(COMMANDS["stats"], {"IN": fifo}, tmp_path / "piped", 2, monkeypatch, capsys)
-    finally:
-        assert writer.wait(timeout=60) == 0
-    want = _run(COMMANDS["stats"], {"IN": str(good)}, tmp_path / "file", 2, monkeypatch, capsys)
-    assert piped == want and want[0] == 0
+
+    def piped(out_dir):
+        writer = subprocess.Popen(["sh", "-c", f"cat '{good}' > '{fifo}'"])
+        try:
+            return _run(COMMANDS["stats"], {"IN": fifo}, out_dir, 2, monkeypatch, capsys)
+        finally:
+            assert writer.wait(timeout=60) == 0
+
+    assert piped(tmp_path / "first") == want and want[0] == 0
+    assert len(os.listdir(cache)) == 1
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert piped(tmp_path / "second") == want
+    assert len(os.listdir(cache)) == 1
