@@ -9,18 +9,18 @@ for training-time augmentation (half image rotations within +/-budget,
 half flips across a near-vertical mirror line in [pi/2 - budget, pi/2]).
 
 AugmentOp and the functions above are the scalar API.  The batch path
-(_augment_rows) carries a chunk's ops as two columns, a rotate mask and
-the angles, through one image-op kernel, _image_rows, and builds no
-AugmentOp.
+carries a chunk's ops as two columns, a rotate mask and the angles, through
+one image-op kernel, _image_rows, builds no AugmentOp and checks nothing:
+the reader, the CLI (flags) and coverage.densify_rolls check its inputs.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _HALF_PI, _cos_sin, _matrix, _mul, _require_rotations, require_rotation
+from .core import _HALF_PI, _cos_sin, _matrix, _mul, require_rotation
 from .drawing import _check_size
 
 _U64 = (1 << 64) - 1
@@ -216,43 +216,13 @@ def _random_ops(
     # The ops random_augment draws for records start..start+n-1, `multiplier`
     # per record from pose_stream(seed, index), in record-major order, as a
     # rotate mask and the angles.  Each draw is Generator.random's
-    # (raw >> 11) * 2**-53, scaled as Generator.uniform does.
+    # (raw >> 11) * 2**-53, scaled as Generator.uniform does; budget is checked.
     raws = _philox_raw(int(seed) & _U64, start, n, 2 * multiplier)
     branch, v = ((raws >> np.uint64(11)).astype(float) * 2.0**-53).reshape(-1, 2).T
     rotate_lo, flip_lo = -budget, _HALF_PI - budget
     rotate_span, flip_span = budget - rotate_lo, _HALF_PI - flip_lo
     rotate = branch < 0.5
     return rotate, np.where(rotate, rotate_lo + rotate_span * v, flip_lo + flip_span * v)
-
-
-def _augment_rows(
-    a: np.ndarray,
-    op: Optional[AugmentOp],
-    budget: float,
-    seed: int,
-    start: int,
-    multiplier: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Augment each row of an (n, 3, 3) stack `multiplier` times.
-
-    With op given, every output is apply_augment(row, op); otherwise the
-    outputs of row i are random_augment(row, budget, pose_stream(seed,
-    start + i)), drawn in order.  Returns the (n * multiplier, 3, 3) stack
-    and its ops as columns, in record-major order: a bool mask, true for
-    a rotation, and the angles in radians.  Rows and ops are byte for
-    byte those of the scalar functions, which also raise the same errors
-    first.
-    """
-    if op is None:
-        # random_augment checks its rotation before the budget
-        _require_rotations(a[:1])
-        budget = _check_budget(budget)
-        rotate, angles = _random_ops(budget, seed, start, len(a), multiplier)
-    else:
-        n = len(a) * multiplier
-        rotate, angles = np.full(n, op.kind == "rotate"), np.full(n, op.angle)
-    rows = np.repeat(_require_rotations(a), multiplier, axis=0)
-    return _image_rows(rows, rotate, angles), rotate, angles
 
 
 def map_pixel(op: AugmentOp, pt, width: float, height: float) -> PixelPoint:
@@ -264,6 +234,8 @@ def map_pixel(op: AugmentOp, pt, width: float, height: float) -> PixelPoint:
     """
     _check_size(width, height)
     x, y = float(pt[0]), float(pt[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("point must be finite")
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     dx, dy = x - cx, y - cy
     if op.kind == "rotate":

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .augment import AugmentOp, _augment_rows
+from .augment import AugmentOp, _check_budget, _image_rows, _random_ops
 from .core import _CONVENTIONS
 from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
 from .drawing import _NOT_XML_CHAR, DrawSpec, _check_size, _segments_rows, render_svg
@@ -89,7 +89,6 @@ def cmd_augment(args) -> int:
     if args.multiplier < 1:
         raise ValidationError(f"--multiplier must be at least 1, got {args.multiplier}")
     seed = _resolve_seed(args)
-    budget = math.radians(args.budget_deg)
     mult = args.multiplier
 
     if args.mode in ("rotate", "flip"):
@@ -98,10 +97,17 @@ def cmd_augment(args) -> int:
         fixed_op = AugmentOp(args.mode, math.radians(args.angle_deg))
     else:
         fixed_op = None
+        budget = _check_budget(math.radians(args.budget_deg))
 
     def work(start, chunk):
-        # one input chunk: its augmented lines and its count of rotations
-        stack, rotate, angles = _augment_rows(chunk.rotations, fixed_op, budget, seed, start, mult)
+        # one input chunk, checked by the reader: its lines and its rotate count
+        n = len(chunk.ids)
+        if fixed_op is None:
+            rotate, angles = _random_ops(budget, seed, start, n, mult)
+        else:
+            rotate = np.full(n * mult, fixed_op.kind == "rotate")
+            angles = np.full(n * mult, fixed_op.angle)
+        stack = _image_rows(np.repeat(chunk.rotations, mult, axis=0), rotate, angles)
         if mult == 1:
             ids = chunk.ids
         else:
@@ -115,7 +121,7 @@ def cmd_augment(args) -> int:
         text = _encode_columns(
             ids, stack, _repeat_rows(chunk.image_paths, mult), provenance=provenance
         )
-        return text, len(chunk.ids), int(rotate.sum())
+        return text, n, int(rotate.sum())
 
     n, n_rotate = _write_chunks(args.input, args.output, work)
     print(f"augment: {n} records -> {n * mult} ({n_rotate} rotate, {n * mult - n_rotate} flip)")

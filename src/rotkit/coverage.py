@@ -13,8 +13,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .augment import _augment_rows
-from .core import _HALF_PI, _compose_rows, _quat_to_matrix, wrap_angle
+from .augment import _check_budget, _image_rows, _random_ops
+from .core import _HALF_PI, _compose_rows, _quat_to_matrix, _require_rotations, wrap_angle
 from .eigen import symmetric_eigh
 from .euler import _euler_rows
 from .labels import CHUNK_RECORDS
@@ -84,13 +84,19 @@ def densify_rolls(
     Each input pose yields `multiplier` augmented copies, grouped in input
     order.  Draws come from per-index counter-based streams, so the output
     is independent of processing order and reproducible from the seed.
+    Checks as random_augment's loop: the first pose, the budget, the rest.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     out = []
     for start in range(0, len(poses), CHUNK_RECORDS):
         stack = np.array(poses[start:start + CHUNK_RECORDS], dtype=float)
-        out.extend(_augment_rows(stack, None, budget, seed, start, multiplier)[0])
+        if start == 0:
+            _require_rotations(stack[:1])
+            budget = _check_budget(budget)
+        rotate, angles = _random_ops(budget, seed, start, len(stack), multiplier)
+        rows = np.repeat(_require_rotations(stack), multiplier, axis=0)
+        out.extend(_image_rows(rows, rotate, angles))
     return out
 
 
@@ -165,12 +171,14 @@ class EulerRangeStats:
 
 
 def euler_range_stats(poses: Sequence) -> EulerRangeStats:
-    """Per-angle min/max over a pose list via canonical extraction."""
+    """Per-angle min/max over a pose list via canonical extraction, after
+    an SO(3) check of each chunk of poses (_euler_rows checks nothing)."""
     if len(poses) == 0:
         raise ValueError("pose list is empty")
     pitches, yaws, rolls = [], [], []
     for start in range(0, len(poses), CHUNK_RECORDS):
-        angles, _ = _euler_rows(np.asarray(poses[start:start + CHUNK_RECORDS], dtype=float), "pyr")
+        stack = _require_rotations(np.asarray(poses[start:start + CHUNK_RECORDS], dtype=float))
+        angles, _ = _euler_rows(stack, "pyr")
         for column, values in zip((pitches, yaws, rolls), np.degrees(angles).T.tolist()):
             column.extend(values)
     return EulerRangeStats(

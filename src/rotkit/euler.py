@@ -1,7 +1,8 @@
 """Closed-form Euler extraction: one routine for every convention.
 
 _extract works on one matrix's nine row-major floats; extract_pyr,
-extract_rpy and _euler_rows (row by row, after one SO(3) check) call it.
+extract_rpy and _euler_rows (row by row, no check: the reader or
+coverage.euler_range_stats checks its stack) call it.
 
 Each convention is one row of core._CONVENTIONS: its axis order, the
 matrix entries that give each angle, and the split at Gimbal lock.  The
@@ -39,7 +40,6 @@ from .core import (
     _HALF_PI,
     EulerPYR,
     EulerRPY,
-    _require_rotations,
     compose_pyr,
     compose_rpy,
     require_rotation,
@@ -92,7 +92,7 @@ def _extract(m: list, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
     The middle angle is atan2(sine, c) in [-pi/2, pi/2], c = |cos(middle)|
     the hypot of the last angle's entries and the lock test; first and last,
     atan2 of entries that carry the factor c > 0, are wrapped into (-pi, pi].
-    No checks: the callers make them (_entries, _require_rotations).
+    No checks: the callers make them (_entries, the reader, euler_range_stats).
     """
     _, i_mid, (fy, fx), (ly, lx), (num, den), split_up, split_down = _CONVENTIONS[convention]
     c = math.hypot(m[ly], m[lx])
@@ -149,12 +149,10 @@ def _euler_rows(a: np.ndarray, convention: str) -> Tuple[np.ndarray, np.ndarray]
     of an (n, 3, 3) stack.
 
     Returns the (n, 3) angle rows and the mask of rows the scalar extractor
-    reports as Gimbal-locked.  One SO(3) check for the stack
-    (_require_rotations), then the scalar routine _extract on each row's
-    nine floats, so every row is the scalar result itself.
+    reports as Gimbal-locked.  No SO(3) check: the scalar routine _extract
+    on each row's nine floats, so every row is the scalar result itself.
     """
-    rows = [_extract(m, convention, GIMBAL_EPS)
-            for m in _require_rotations(a).reshape(-1, 9).tolist()]
+    rows = [_extract(m, convention, GIMBAL_EPS) for m in a.reshape(-1, 9).tolist()]
     angles, locks = zip(*rows) if rows else ((), ())
     return np.array(angles, dtype=float).reshape(-1, 3), np.array(locks, dtype=bool)
 

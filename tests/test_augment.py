@@ -17,10 +17,12 @@ from rotkit import (
     pose_stream,
     random_augment,
     random_rotation,
+    read_labels,
     rot_z_left,
     rotate_image_label,
 )
 from rotkit.augment import _philox_raw
+from rotkit.cli import main
 
 _T = np.diag([1.0, -1.0, 1.0])
 _FLIP_X = np.diag([-1.0, 1.0, 1.0])
@@ -264,6 +266,10 @@ class TestMapPixel:
         for width, height in [(math.nan, 10), (10, math.inf), (-math.inf, math.nan)]:
             with pytest.raises(ValueError, match="finite and positive"):
                 map_pixel(AugmentOp("rotate", 0.1), (0.0, 0.0), width, height)
+        # a non-finite point gave (nan, nan) or (inf, -inf)
+        for pt in [(math.nan, 2.0), (1.0, math.inf), (-math.inf, math.nan)]:
+            with pytest.raises(ValueError, match="point must be finite"):
+                map_pixel(AugmentOp("rotate", 0.3), pt, 10, 10)
 
 
 class TestPixelLabelConsistency:
@@ -315,6 +321,25 @@ class TestAugmentOp:
         back = AugmentOp.from_dict(op.as_dict())
         assert back.kind == op.kind
         assert abs(back.angle - op.angle) < 1e-15
+
+    @pytest.mark.parametrize("flags, mult", [
+        (["--multiplier", "2", "--seed", "31"], 2),
+        (["--mode", "flip", "--angle-deg", "83"], 1),
+    ])
+    def test_provenance_replays_the_augmentation(self, tmp_path, flags, mult):
+        # each output record's last provenance entry, read back as an
+        # AugmentOp, maps the input rotation to the output rotation
+        src, out = tmp_path / "spiral.jsonl", tmp_path / "out.jsonl"
+        assert main(["spiral", "--count", "300", "--output", str(src)]) == 0
+        assert main(["augment", *flags, "--input", str(src), "--output", str(out)]) == 0
+        inputs, outputs = read_labels(src), read_labels(out)
+        assert len(outputs) == mult * len(inputs)
+        for i, rec in enumerate(outputs):
+            entry = rec.provenance[-1]
+            op = AugmentOp.from_dict(entry)
+            assert op.kind == entry["kind"]
+            replayed = apply_augment(inputs[i // mult].rotation, op)
+            assert np.abs(replayed - rec.rotation).max() <= 1e-15
 
     def test_apply_dispatch(self):
         r = compose_pyr((0.1, 0.2, 0.3))

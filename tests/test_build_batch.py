@@ -43,7 +43,8 @@ from rotkit import (
     rotate_image_label,
     segments,
 )
-from rotkit.augment import _augment_rows, _image_rows
+from rotkit import core
+from rotkit.augment import _image_rows, _random_ops
 from rotkit.cli import main
 from rotkit.core import _compose_rows
 from rotkit.coverage import _spiral_rows, _triangle_yaw
@@ -158,30 +159,33 @@ class TestKernels:
         st.integers(1, 3),
     )
     def test_random_augment(self, stack, budget, seed, start, multiplier):
-        got, rotate, op_angles = _augment_rows(stack, None, budget, seed, start, multiplier)
+        rotate, op_angles = _random_ops(budget, seed, start, len(stack), multiplier)
+        got = _image_rows(np.repeat(stack, multiplier, axis=0), rotate, op_angles)
         want, want_ops = _scalar_random(stack, budget, seed, start, multiplier)
         _same_rows(got, want)
         _same_ops(rotate, op_angles, want_ops)
 
     def test_random_augment_error_order(self):
-        # random_augment checks a record's rotation before the budget, and
-        # the first record is checked first
+        # densify_rolls checks as a loop of random_augment would: a record's
+        # rotation before the budget, and the first record first
         stack = np.array(AXIS_ALIGNED[:4])
         stack[2] *= 1.0 + 1e-7
         with pytest.raises(ValueError, match="budget"):
-            _augment_rows(stack, None, 2.0, 0, 0, 1)
+            densify_rolls(stack, 2.0, 0, 1)
         with pytest.raises(ValueError, match="not a rotation"):
-            _augment_rows(stack, None, 0.5, 0, 0, 1)
+            densify_rolls(stack, 0.5, 0, 1)
         with pytest.raises(ValueError, match="not a rotation"):
-            _augment_rows(stack[2:], None, 2.0, 0, 0, 1)
+            densify_rolls(stack[2:], 2.0, 0, 1)
 
     @kernel_settings
     @given(stacks, st.sampled_from(("rotate", "flip")), angles)
     def test_fixed_augment(self, stack, kind, angle):
         op = AugmentOp(kind, angle)
-        got, rotate, op_angles = _augment_rows(stack, op, 0.0, 0, 0, 2)
+        n = 2 * len(stack)
+        rotate, op_angles = np.full(n, kind == "rotate"), np.full(n, angle)
+        got = _image_rows(np.repeat(stack, 2, axis=0), rotate, op_angles)
         _same_rows(got, [apply_augment(r, op) for r in stack for _ in range(2)])
-        _same_ops(rotate, op_angles, [op] * (2 * len(stack)))
+        _same_ops(rotate, op_angles, [op] * n)
 
     @kernel_settings
     @given(stacks)
@@ -271,8 +275,13 @@ class TestKernelProperties:
         st.one_of(st.none(), st.builds(AugmentOp, st.sampled_from(("rotate", "flip")), angles)),
     )
     def test_augment_stays_in_so3(self, stack, budget, seed, multiplier, op):
-        out = _augment_rows(stack, op, budget, seed, 0, multiplier)[0]
-        assert len(out) == multiplier * len(stack)
+        n = multiplier * len(stack)
+        if op is None:
+            rotate, op_angles = _random_ops(budget, seed, 0, len(stack), multiplier)
+        else:
+            rotate, op_angles = np.full(n, op.kind == "rotate"), np.full(n, op.angle)
+        out = _image_rows(np.repeat(stack, multiplier, axis=0), rotate, op_angles)
+        assert len(out) == n
         assert all(is_rotation(r, ORTHO_TOL) for r in out)
 
     @kernel_settings
@@ -562,3 +571,38 @@ class TestCliErrors:
                      "--budget-deg", budget]) == 1
         assert capsys.readouterr().err == "rotkit: error: budget must lie in [0, pi/2]\n"
         assert not out.exists()
+
+
+def _no_second_check(a, tol):
+    raise ValueError("a stack was checked twice")
+
+
+class TestCheckedOnce:
+    """Each stack is checked once, where it enters: the reader's stacks
+    reach augment's and convert's kernels with no further SO(3) check, and
+    the library functions that take poses check them."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "--multiplier", "2"],
+            ["augment", "--mode", "flip", "--angle-deg", "10"],
+            ["convert", "--target", "euler_pyr"],
+            ["convert", "--target", "euler_rpy"],
+        ],
+    )
+    def test_cli_kernels(self, corpus, tmp_path, monkeypatch, capsys, argv, cores):
+        path, _ = corpus
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        want = TestCliErrors._run(argv, path, tmp_path / "want.jsonl", capsys)
+        monkeypatch.setattr(core, "_is_rotation_batch", _no_second_check)
+        got = TestCliErrors._run(argv, path, tmp_path / "got.jsonl", capsys)
+        assert want[0] == 0 and got == want
+
+    def test_library_entry_points(self, monkeypatch):
+        monkeypatch.setattr(core, "_is_rotation_batch", _no_second_check)
+        with pytest.raises(ValueError, match="checked twice"):
+            densify_rolls([np.eye(3)], 0.1, 0)
+        with pytest.raises(ValueError, match="checked twice"):
+            euler_range_stats([np.eye(3)])

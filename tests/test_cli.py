@@ -391,6 +391,54 @@ class TestExitCodes:
         assert main(["stats", "--input", str(src)]) == 0
 
 
+# every flag error of every command, each with its message
+FLAG_ERRORS = [
+    (["augment", "--multiplier", "0"], {}, "--multiplier must be at least 1, got 0"),
+    (["augment", "--mode", "rotate"], {}, "--angle-deg is required for mode rotate"),
+    (["augment", "--mode", "rotate", "--angle-deg", "nan"], {}, "augment angle must be finite"),
+    (["augment", "--budget-deg", "100"], {}, "budget must lie in [0, pi/2]"),
+    (["augment"], {"ROTKIT_SEED": "abc"}, "ROTKIT_SEED must be an integer, got 'abc'"),
+    (["draw", "--width", "0"], {}, "width and height must be finite and positive"),
+    (["draw", "--size", "-1"], {}, "size must be positive"),
+    (["draw", "--center", "nan", "1"], {}, "center must be finite"),
+    (["spiral", "--count", "0"], {}, "count must be >= 1"),
+    (["spiral", "--turns", "0"], {}, "turns must be positive"),
+    (["spiral", "--pitch-range", "80", "-80"], {},
+     "pitch range must satisfy -pi/2 < min <= max < pi/2"),
+]
+
+
+@pytest.mark.parametrize("source", ["missing", "empty"])
+@pytest.mark.parametrize("argv, env, message", FLAG_ERRORS, ids=[
+    " ".join([*argv, *(f"{name}={value}" for name, value in env.items())])
+    for argv, env, _ in FLAG_ERRORS
+])
+def test_flags_are_checked_before_the_input(tmp_path, capsys, monkeypatch, argv, env, message,
+                                            source):
+    # the README's rule: every command checks its flags before it reads its
+    # input, so a bad flag wins over a missing or empty input and nothing
+    # is written (spiral reads no input)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = tmp_path / "in.jsonl"
+    if source == "empty":
+        path.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = [] if argv[0] == "spiral" else ["--input", str(path)]
+    assert main([*argv, *inputs, "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"rotkit: error: {message}\n")
+    assert not out.exists()
+
+
+def test_fixed_modes_ignore_the_budget(tmp_path, capsys):
+    path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    path.write_text("", encoding="utf-8")
+    argv = ["augment", "--mode", "flip", "--angle-deg", "10", "--budget-deg", "500"]
+    assert main([*argv, "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr() == ("augment: 0 records -> 0 (0 rotate, 0 flip)\n", "")
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank_lines"])
 @pytest.mark.parametrize("command, code, stdout, stderr, made", [
     (["stats", "--output", "{out}"], 1, "", "rotkit: error: pose list is empty\n", False),
