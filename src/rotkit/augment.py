@@ -244,4 +244,7 @@ def map_pixel(op: AugmentOp, pt, width: float, height: float) -> PixelPoint:
     else:
         c, s = math.cos(2.0 * op.angle), math.sin(2.0 * op.angle)
         nx, ny = c * dx - s * dy, -s * dx - c * dy
-    return PixelPoint(nx + cx, ny + cy)
+    x, y = nx + cx, ny + cy
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("moved point must be finite")
+    return PixelPoint(x, y)

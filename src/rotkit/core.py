@@ -15,6 +15,10 @@ import numpy as np
 # Default tolerance for SO(3) membership: well above double-precision
 # accumulation of chained products, well below any meaningful angle.
 ORTHO_TOL = 1e-9
+# SO(3) tolerance of rotations from outside data (label files, label
+# records, camera calibrations), which other tooling may have rounded; one
+# that fails ORTHO_TOL is replaced by its nearest rotation (_repair).
+FILE_ORTHO_TOL = 1e-6
 
 _HALF_PI = math.pi / 2
 _TWO_PI = 2.0 * math.pi
@@ -277,6 +281,16 @@ def _nearest_rotation(m) -> list:
         h[0], h[4], h[8] = 3.0 - g[0], 3.0 - g[4], 3.0 - g[8]
         m = [0.5 * v for v in _mul(m, h)]
     return m
+
+
+def _repair(rotations: np.ndarray, gaps: np.ndarray) -> None:
+    """Replace in place each row of an (n, 3, 3) stack whose worst SO(3)
+    gap (gaps, one per row, each within FILE_ORTHO_TOL) fails ORTHO_TOL by
+    its nearest rotation: the bytes of _nearest_rotation on that row."""
+    loose = gaps > ORTHO_TOL
+    if loose.any():
+        flat = rotations[loose].reshape(-1, 9)
+        rotations[loose] = np.stack(_nearest_rotation(flat.T), axis=-1).reshape(-1, 3, 3)
 
 
 def _compose_rows(angles: np.ndarray, convention: str) -> np.ndarray:

@@ -37,7 +37,7 @@ class SpiralSpec:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not (math.isfinite(self.turns) and self.turns > 0):
-            raise ValueError("turns must be positive")
+            raise ValueError("turns must be finite and positive")
         if not -_HALF_PI < self.pitch_min <= self.pitch_max < _HALF_PI:
             raise ValueError("pitch range must satisfy -pi/2 < min <= max < pi/2")
 

@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import require_rotation
+from .core import ORTHO_TOL, require_rotation
 
 AXIS_COLORS = ("#FF0000", "#00FF00", "#0000FF")
 # The first two rows of T R T, as signs on the rows of R: conjugation by
@@ -47,7 +47,12 @@ class DrawSpec:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ValueError("center must be finite")
         if not (math.isfinite(self.size) and self.size > 0):
-            raise ValueError("size must be positive")
+            raise ValueError("size must be finite and positive")
+        # an entry of a rotation that passes ORTHO_TOL is below 1 + ORTHO_TOL,
+        # so each endpoint lies within that many sizes of the center
+        reach = float(self.size) * (1.0 + ORTHO_TOL)  # a Python float: no numpy warning
+        if not math.isfinite(max(abs(float(cx)), abs(float(cy))) + reach):
+            raise ValueError("center and size must keep the drawing finite")
 
 
 def project_axes(r) -> AxisProjection:

@@ -5,8 +5,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import _geodesic_rows, _so3_gaps
-from .labels import FILE_ORTHO_TOL, PoseRecord, ValidationError, _columns, _repair
+from .core import FILE_ORTHO_TOL, _geodesic_rows, _repair, _so3_gaps
+from .labels import PoseRecord, ValidationError, _columns
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def mean_geodesic_error(
     benchmark numbers, so any mismatch is a hard error listing the ids.
     Rotations are taken as a label file's are read: each must pass the
     SO(3) check at FILE_ORTHO_TOL, and one that fails ORTHO_TOL is measured
-    as its nearest rotation (labels._repair), so records give the same
+    as its nearest rotation (core._repair), so records give the same
     distances in memory as once written and read back.
     """
     stacks = []

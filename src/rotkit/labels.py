@@ -8,10 +8,10 @@ One record per line:
 
 An integer id is read as its decimal string; an id of any other type is
 refused; a field the format does not name is dropped.  The matrix is the
-source of truth, read at FILE_ORTHO_TOL; Euler fields are advisory views
-in degrees, checked against it on read.  Once its record has passed every
-check, a matrix that fails ORTHO_TOL is replaced by its nearest rotation
-(core._nearest_rotation), so all the reader returns passes ORTHO_TOL.
+source of truth, read at core.FILE_ORTHO_TOL; Euler fields are advisory
+views in degrees, checked against it on read.  Once its record has passed
+every check, a matrix that fails ORTHO_TOL is replaced by its nearest
+rotation (core._repair), so all the reader returns passes ORTHO_TOL.
 Floats are serialized with shortest round-trip decimals, so write-then-read
 reproduces rotations that pass ORTHO_TOL bit-exactly.
 
@@ -24,10 +24,10 @@ Files are read CHUNK_RECORDS lines at a time.  Each chunk is decoded line
 by line, validated at once and comes out as columns: its ids, one
 (n, 3, 3) rotation stack, image paths, Euler views, gimbal flags and
 provenance (_Chunk, from _read_chunk).  A chunk that fails is validated
-again one record at a time, which raises the first bad record's error in
-file order.  read_labels builds PoseRecords from the chunks.  _columns is
-the one gather of PoseRecords into a _Chunk, used by the record-by-record
-reader and by write_labels, and one column encoder (_encode_columns),
+again one record at a time (_validate on each), which raises the first bad
+record's error in file order.  read_labels builds PoseRecords from the
+chunks.  _columns is the one gather of PoseRecords into a _Chunk, used by
+write_labels and evaluate, and one column encoder (_encode_columns),
 which takes a chunk's fields, writes every label file.
 
 The CLI runs its chunks on the fork map: one os.fork worker per CPU,
@@ -57,17 +57,16 @@ import numpy as np
 
 from .core import (
     _CONVENTIONS,
-    ORTHO_TOL,
+    FILE_ORTHO_TOL,
     _compose_rows,
     _geodesic_rows,
-    _nearest_rotation,
+    _repair,
     _so3_gaps,
 )
 from .euler import GIMBAL_EPS
 
-# File-level SO(3) and Euler-consistency tolerance.  Looser than the
-# in-memory default: labels may have been produced by other tooling.
-FILE_ORTHO_TOL = 1e-6
+# File-level Euler-consistency tolerance, as loose as the SO(3) check at
+# core.FILE_ORTHO_TOL: labels may have been produced by other tooling.
 EULER_CONSISTENCY_TOL = 1e-6
 # Gimbal-flagged records store the canonical representative, whose yaw is
 # snapped to +/-90 deg; allow the snap distance.
@@ -316,16 +315,6 @@ def _validate(objs: list, where: str) -> _Chunk:
     return _Chunk(ids, rotations, image_paths, tuple(views), list(map(bool, flags)), provenance)
 
 
-def _repair(rotations: np.ndarray, gaps: np.ndarray) -> None:
-    # Replace in place each row of an (n, 3, 3) stack whose worst SO(3) gap
-    # (gaps, one per row, each within FILE_ORTHO_TOL) fails ORTHO_TOL by its
-    # nearest rotation.
-    loose = gaps > ORTHO_TOL
-    if loose.any():
-        flat = rotations[loose].reshape(-1, 9)
-        rotations[loose] = np.stack(_nearest_rotation(flat.T), axis=-1).reshape(-1, 3, 3)
-
-
 def _records(chunk: _Chunk) -> Iterator[PoseRecord]:
     # positional, _Chunk's columns in PoseRecord's order with the views spread
     return map(PoseRecord, chunk.ids, chunk.rotations, chunk.image_paths, *chunk.views,
@@ -335,16 +324,6 @@ def _records(chunk: _Chunk) -> Iterator[PoseRecord]:
 def record_from_dict(obj: dict, where: str = "record") -> PoseRecord:
     """Validate one decoded JSON object into a PoseRecord."""
     return next(_records(_validate([obj], where)))
-
-
-def _chunk_batched(objs: list) -> Optional[_Chunk]:
-    """_validate(objs), or None where it raises: some object breaks the
-    contract, and the caller re-validates one record at a time to raise the
-    first error."""
-    try:
-        return _validate(objs, "record")
-    except ValidationError:  # ParseError too
-        return None
 
 
 def _columns(records: list) -> _Chunk:
@@ -365,19 +344,12 @@ def _columns(records: list) -> _Chunk:
     )
 
 
-def _chunk_one_by_one(path, lines, objs) -> _Chunk:
-    return _columns([
-        record_from_dict(obj, where=f"{path}:{lineno}")
-        for (lineno, _), obj in zip(lines, objs)
-    ])
-
-
 def _read_chunk(path, lines) -> _Chunk:
     # lines: (lineno, text) pairs.  Errors surface in file order: a record
     # that breaks the contract raises before a later line's bad JSON, so the
     # records before bad JSON are validated first, as a chunk and, if that
-    # fails, one at a time.
-    objs = []
+    # fails, one at a time, which raises the first bad record's error.
+    objs, bad_json = [], None
     for lineno, line in lines:
         try:
             objs.append(json.loads(line))
@@ -385,12 +357,18 @@ def _read_chunk(path, lines) -> _Chunk:
         # integer of more than sys.get_int_max_str_digits() digits and
         # RecursionError for arrays or objects nested too deep
         except (ValueError, RecursionError) as exc:
-            if objs and _chunk_batched(objs) is None:
-                _chunk_one_by_one(path, lines, objs)
             msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {msg}") from None
-    chunk = _chunk_batched(objs)
-    return _chunk_one_by_one(path, lines, objs) if chunk is None else chunk
+            bad_json = ParseError(f"{path}:{lineno}: invalid JSON: {msg}")
+            break
+    try:
+        chunk = _validate(objs, "record") if objs else None
+    except ValidationError:  # ParseError too
+        for (lineno, _), obj in zip(lines, objs):
+            _validate([obj], f"{path}:{lineno}")
+        raise
+    if bad_json is not None:
+        raise bad_json
+    return chunk
 
 
 def _line_chunks(fh) -> Iterator[list]:
@@ -407,16 +385,6 @@ def _line_chunks(fh) -> Iterator[list]:
                 lines = []
     if lines:
         yield lines
-
-
-def _read_chunks(path) -> Iterator[_Chunk]:
-    """Validated chunks of a label file, one CHUNK_RECORDS chunk at a time.
-
-    Raises the errors of read_labels, in the same order; a chunk's errors
-    surface before it is yielded, so only earlier chunks have been seen.
-    """
-    for lines in _line_chunks(open(path, "r", encoding="utf-8")):
-        yield _read_chunk(path, lines)
 
 
 def _workers() -> int:
@@ -539,7 +507,7 @@ def _map_chunks(path, work) -> Iterator:
     the file so that memory stays flat, or in-process for anything but a
     regular file (a pipe or a device, which is opened once).
 
-    The errors and their order are those of _read_chunks.
+    The errors and their order are those of read_labels.
     """
     regular = stat.S_ISREG(os.stat(path).st_mode)
     return _fork_map(
@@ -719,7 +687,11 @@ def read_labels(path) -> List[PoseRecord]:
     same errors, in the same order, as record_from_dict line by line.
     Each record's rotation is a row view of its chunk's (n, 3, 3) array.
     """
-    return [rec for chunk in _read_chunks(path) for rec in _records(chunk)]
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lines in _line_chunks(fh):
+            records += _records(_read_chunk(path, lines))
+    return records
 
 
 def _write_records(fh, records) -> None:

@@ -4,7 +4,9 @@ Horn's absolute-orientation method recovers the least-squares rotation
 between two corresponded point sets from the maximal eigenvector of a 4x4
 symmetric quaternion matrix.  The Panoptic composition chains a fixed
 reference rotation with a camera extrinsic and a Horn-recovered rotation
-to express head pose in image space.
+to express head pose in image space.  A camera extrinsic is admitted as
+a label file's rotation is: checked at FILE_ORTHO_TOL, and replaced by its
+nearest rotation if it fails ORTHO_TOL.
 """
 
 import math
@@ -12,19 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ORTHO_TOL, _matrix, _mul, _quat_to_matrix, require_rotation
+from .core import (FILE_ORTHO_TOL, ORTHO_TOL, _matrix, _mul, _nearest_rotation,
+                   _quat_to_matrix, is_rotation, require_rotation)
 from .eigen import symmetric_eigh
 
 E_REF = np.diag([1.0, -1.0, -1.0])
 
 # Relative eigenvalue cutoff for "the source points span a plane".
 _RANK_RTOL = 1e-12
-# SO(3) tolerance of a camera extrinsic: calibration files store it rounded.
-_EXTRINSIC_TOL = 1e-6
 
 
 class DegenerateGeometryError(ValueError):
     """Source geometry does not pin down a unique rotation."""
+
+
+def _extrinsic(m, what: str) -> np.ndarray:
+    # m as given if it passes ORTHO_TOL, else the bytes of core._repair
+    a = np.asarray(m, dtype=float)
+    if is_rotation(a):
+        return a
+    a = require_rotation(a, FILE_ORTHO_TOL, what)
+    return _matrix(_nearest_rotation(a.ravel().tolist()))
 
 
 def _as_points(obj, what: str) -> np.ndarray:
@@ -54,13 +64,13 @@ class LandmarkSet:
 
 @dataclass(frozen=True)
 class CameraExtrinsic:
-    """The 3x3 rotation block of a camera extrinsic matrix."""
+    """The 3x3 rotation block of a camera extrinsic matrix, repaired if
+    loose as the module docstring says."""
 
     rotation_part: np.ndarray
 
     def __post_init__(self):
-        a = require_rotation(self.rotation_part, tol=_EXTRINSIC_TOL, what="rotation_part")
-        object.__setattr__(self, "rotation_part", a)
+        object.__setattr__(self, "rotation_part", _extrinsic(self.rotation_part, "rotation_part"))
 
 
 def _spans_plane(centered: np.ndarray) -> bool:
@@ -105,11 +115,12 @@ def horn_rotation(src, dst) -> np.ndarray:
 
 
 def panoptic_rotation(extrinsic, r_horn) -> np.ndarray:
-    """Head rotation in image space: E_ref @ C_extr @ R_Horn."""
+    """Head rotation in image space: E_ref @ C_extr @ R_Horn; an extrinsic
+    array is admitted as CameraExtrinsic admits it."""
     if isinstance(extrinsic, CameraExtrinsic):
         c = extrinsic.rotation_part
     else:
-        c = require_rotation(extrinsic, tol=_EXTRINSIC_TOL, what="extrinsic")
+        c = _extrinsic(extrinsic, "extrinsic")
     h = require_rotation(r_horn, tol=ORTHO_TOL, what="r_horn")
     # C_extr @ R_Horn entry by entry (_mul); E_ref = diag(1, -1, -1) then
     # negates rows 2 and 3, which is exact

@@ -266,8 +266,9 @@ class TestMapPixel:
         for width, height in [(math.nan, 10), (10, math.inf), (-math.inf, math.nan)]:
             with pytest.raises(ValueError, match="finite and positive"):
                 map_pixel(AugmentOp("rotate", 0.1), (0.0, 0.0), width, height)
-        # a non-finite point gave (nan, nan) or (inf, -inf)
-        for pt in [(math.nan, 2.0), (1.0, math.inf), (-math.inf, math.nan)]:
+        # a non-finite point gave (nan, nan) or (inf, -inf), and a finite
+        # one whose moved offset overflows gave x=inf
+        for pt in [(math.nan, 2.0), (1.0, math.inf), (-math.inf, math.nan), (1.5e308, 1.5e308)]:
             with pytest.raises(ValueError, match="point must be finite"):
                 map_pixel(AugmentOp("rotate", 0.3), pt, 10, 10)
 

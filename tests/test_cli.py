@@ -289,7 +289,7 @@ class TestDrawCommand:
          "width and height must be finite and positive"),
         (["--width", "nan"], "width and height must be finite and positive"),
         (["--height", "-1"], "width and height must be finite and positive"),
-        (["--size", "0"], "size must be positive"),
+        (["--size", "0"], "size must be finite and positive"),
         (["--center", "inf", "0"], "center must be finite"),
     ])
     @pytest.mark.parametrize("source", ["valid", "missing"])
@@ -399,10 +399,14 @@ FLAG_ERRORS = [
     (["augment", "--budget-deg", "100"], {}, "budget must lie in [0, pi/2]"),
     (["augment"], {"ROTKIT_SEED": "abc"}, "ROTKIT_SEED must be an integer, got 'abc'"),
     (["draw", "--width", "0"], {}, "width and height must be finite and positive"),
-    (["draw", "--size", "-1"], {}, "size must be positive"),
+    (["draw", "--size", "-1"], {}, "size must be finite and positive"),
+    (["draw", "--size", "inf"], {}, "size must be finite and positive"),
+    (["draw", "--size", "1e308", "--center", "1e308", "0"], {},
+     "center and size must keep the drawing finite"),
     (["draw", "--center", "nan", "1"], {}, "center must be finite"),
     (["spiral", "--count", "0"], {}, "count must be >= 1"),
-    (["spiral", "--turns", "0"], {}, "turns must be positive"),
+    (["spiral", "--turns", "0"], {}, "turns must be finite and positive"),
+    (["spiral", "--turns", "inf"], {}, "turns must be finite and positive"),
     (["spiral", "--pitch-range", "80", "-80"], {},
      "pitch range must satisfy -pi/2 < min <= max < pi/2"),
 ]

@@ -109,6 +109,19 @@ class TestSegments:
         with pytest.raises(ValueError):
             DrawSpec(center=(0.0, 0.0), size=0.0)
 
+    def test_overflowing_drawing_rejected(self):
+        # segments put an endpoint at inf for these specs: the second on an
+        # axis entry of 1 + 2**-52, which passes ORTHO_TOL
+        for center, size in [((1e308, 0.0), 1e308), ((0.0, 0.0), np.finfo(float).max)]:
+            with pytest.raises(ValueError, match="center and size must keep the drawing finite"):
+                DrawSpec(center=center, size=size)
+        # with |center| + size just finite, every endpoint of every pose is
+        spec = DrawSpec(center=(1e308, -1e308), size=7e307)
+        rng = np.random.default_rng(17)
+        poses = [np.eye(3), np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0])]
+        for r in poses + [random_rotation(rng) for _ in range(50)]:
+            assert np.isfinite(segments(project_axes(r), spec)).all()
+
     def test_endpoints_match_closed_form(self):
         p, y, r = (math.radians(v) for v in (-17.325, -49.589, 11.423))
         segs = segments(project_axes(compose_pyr((p, y, r))), DrawSpec(center=(0.0, 0.0), size=1.0))

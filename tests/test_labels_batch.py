@@ -56,13 +56,16 @@ def _scalar_read(path):
 
 
 def _chunk_read(path):
-    """The chunk reader behind eval, stats and pca: ids and rotation bytes,
-    with no PoseRecord assembled."""
-    return [
-        (rec_id, rotation.tobytes())
-        for chunk in labels._read_chunks(path)
-        for rec_id, rotation in zip(chunk.ids, chunk.rotations)
-    ]
+    """The chunks of a label file as _read_stack's workers read them (the
+    reader behind eval, stats and pca): ids and rotation bytes, with no
+    PoseRecord assembled."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lines in labels._line_chunks(fh):
+            chunk = labels._read_chunk(path, lines)
+            out += [(rec_id, rotation.tobytes())
+                    for rec_id, rotation in zip(chunk.ids, chunk.rotations)]
+    return out
 
 
 def _outcome(read, path):
@@ -259,7 +262,8 @@ class TestValidFiles:
     def test_chunks_encode_as_write_labels(self, tmp_path):
         # the column encoder takes the reader's chunks as they come
         path = _write(tmp_path / "ok.jsonl", _objects(labels.CHUNK_RECORDS + 7, seed=12))
-        chunks = list(labels._read_chunks(path))
+        with open(path, encoding="utf-8") as fh:
+            chunks = [labels._read_chunk(path, lines) for lines in labels._line_chunks(fh)]
         assert len(chunks) == 2
         text = "".join(labels._encode_columns(*chunk) for chunk in chunks)
         for field in ("image_path", "euler_pyr_deg", "euler_rpy_deg", "gimbal", "provenance"):
@@ -409,13 +413,16 @@ class TestToleranceEdges:
 
     @pytest.fixture
     def spy(self, monkeypatch):
+        # the `where` of every record validated alone, past the chunk's try
         calls = []
+        validate = labels._validate
 
-        def counting(obj, where="record"):
-            calls.append(where)
-            return record_from_dict(obj, where)
+        def counting(objs, where):
+            if where != "record":
+                calls.append(where)
+            return validate(objs, where)
 
-        monkeypatch.setattr(labels, "record_from_dict", counting)
+        monkeypatch.setattr(labels, "_validate", counting)
         return calls
 
     def test_valid_chunks_skip_the_scalar_path(self, tmp_path, small_chunks, spy):
@@ -429,8 +436,8 @@ class TestToleranceEdges:
     ):
         # the batched distance equals record_from_dict's bit for bit, so a
         # view just inside its tolerance is accepted in bulk, and one just
-        # outside sends its chunk to record_from_dict, which refuses it:
-        # either way the verdict is the record-by-record one
+        # outside sends its chunk to _validate record by record, which
+        # refuses it: either way the verdict is the record-by-record one
         items = _objects(2 * CHUNK, seed=9)
         view = (0.2, -0.7, 1.1)
         rotation = compose_pyr(view) @ rot_z_left(factor * EULER_CONSISTENCY_TOL)
@@ -551,11 +558,13 @@ def test_routes_agree_on_any_field_value(field, data, where):
     items = _VALID[:where] + [obj] + _VALID[where:]
     lines = [(lineno, json.dumps(item)) for lineno, item in enumerate(items, start=1)]
     objs = [json.loads(line) for _, line in lines]
-    one_by_one = _chunk_outcome(lambda: labels._chunk_one_by_one("f", lines, objs))
+    one_by_one = _chunk_outcome(lambda: labels._columns([
+        record_from_dict(obj, where=f"f:{lineno}") for (lineno, _), obj in zip(lines, objs)
+    ]))
     assert _chunk_outcome(lambda: labels._read_chunk("f", lines)) == one_by_one
     # the batched rules accept exactly the chunks record_from_dict accepts
-    batched = labels._chunk_batched(objs)
+    batched = _chunk_outcome(lambda: labels._validate(objs, "record"))
     if isinstance(one_by_one[0], type):
-        assert batched is None
+        assert isinstance(batched[0], type)
     else:
-        assert (batched.rotations.tobytes(), labels._encode_columns(*batched)) == one_by_one
+        assert batched == one_by_one

@@ -4,7 +4,8 @@ A rotation that label files admit (FILE_ORTHO_TOL, 1e-6) but that fails
 the library's check (ORTHO_TOL, 1e-9), such as any rotation rounded to
 float32, is read as its nearest rotation, on both reader routes; every
 other rotation is read as stored.  The reference is the orthogonal polar
-factor from numpy's SVD.
+factor from numpy's SVD.  The same rule admits a camera extrinsic and the
+rotations mean_geodesic_error measures, to the same bytes.
 """
 
 import hashlib
@@ -13,16 +14,22 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rotkit import (
     GIMBAL_EPS,
     ORTHO_TOL,
+    CameraExtrinsic,
+    PoseRecord,
     canonical_pyr,
     compose_pyr,
     compose_rpy,
+    geodesic_distance,
     is_rotation,
+    mean_geodesic_error,
+    panoptic_rotation,
     project_axes,
     random_rotation,
     read_labels,
@@ -82,7 +89,7 @@ def test_loose_rows_are_replaced_by_their_nearest_rotation(drawn):
     assume(stored)
     objs = [{"id": i, "rotation": m.ravel().tolist()} for i, m in enumerate(stored)]
     objs = json.loads(json.dumps(objs))
-    chunk = labels._chunk_batched(objs)
+    chunk = labels._validate(objs, "record")
     one_by_one = [record_from_dict(obj).rotation for obj in objs]
     assert chunk.rotations.tobytes() == np.array(one_by_one).tobytes()
     for m, got in zip(stored, chunk.rotations):
@@ -131,5 +138,49 @@ def test_repaired_bytes_are_pinned():
             stored.append(_quat_to_matrix(*(v / n for v in q)).astype(np.float32).astype(float))
     assert sum(not is_rotation(m, ORTHO_TOL) for m in stored) == 528
     objs = [{"id": i, "rotation": m.ravel().tolist()} for i, m in enumerate(stored)]
-    digest = hashlib.sha256(labels._chunk_batched(objs).rotations.tobytes()).hexdigest()
+    digest = hashlib.sha256(labels._validate(objs, "record").rotations.tobytes()).hexdigest()
     assert digest == "c74f285f2a33ae67d654352e2c99300843c82a2eb3c302fe2940492f6f45e295"
+
+
+def _write_rotations(path, stored):
+    path.write_text("".join(json.dumps({"id": i, "rotation": m.ravel().tolist()}) + "\n"
+                            for i, m in enumerate(stored)))
+    return path
+
+
+@pytest.mark.parametrize("rounding", [lambda r: r.astype(np.float32).astype(float),
+                                      lambda r: np.round(r, 7)], ids=["float32", "7-decimals"])
+def test_outside_rotations_are_admitted_by_one_rule(tmp_path, rounding):
+    # Haar rotations rounded as a label file or a calibration file may store
+    # them: the camera extrinsic is the reader's repair byte for byte, the
+    # in-memory records measure 0 from the read-back file, and the Panoptic
+    # composition passes the library's own check
+    rng = pose_stream(251)
+    exact = [random_rotation(rng) for _ in range(200)]
+    stored = [rounding(r) for r in exact]
+    assert not any(is_rotation(m, ORTHO_TOL) for m in stored)
+    read = read_labels(_write_rotations(tmp_path / "loose.jsonl", stored))
+    for m, rec in zip(stored, read):
+        assert CameraExtrinsic(m).rotation_part.tobytes() == rec.rotation.tobytes()
+    in_memory = [PoseRecord(str(i), m) for i, m in enumerate(stored)]
+    report = mean_geodesic_error(in_memory, read)
+    assert report.mean == report.max == 0.0
+    for m, h in zip(stored, exact[::-1]):
+        out = panoptic_rotation(m, h)
+        assert is_rotation(out, ORTHO_TOL)
+        assert panoptic_rotation(CameraExtrinsic(m), h).tobytes() == out.tobytes()
+        assert geodesic_distance(out, out) == 0.0
+
+
+def test_rotations_past_the_file_tolerance_are_refused_by_every_route(tmp_path):
+    # scaled by 1 + 1e-5, each fails the SO(3) check at FILE_ORTHO_TOL
+    m = random_rotation(pose_stream(252)) * (1.0 + 1e-5)
+    assert not is_rotation(m, FILE_ORTHO_TOL)
+    with pytest.raises(ValueError, match="fails the SO\\(3\\) check at 1e-06"):
+        read_labels(_write_rotations(tmp_path / "bad.jsonl", [m]))
+    with pytest.raises(ValueError, match="not a rotation matrix within tol=1e-06"):
+        mean_geodesic_error([PoseRecord("0", m)], [PoseRecord("0", np.eye(3))])
+    with pytest.raises(ValueError, match="rotation_part is not a rotation matrix within tol=1e-06"):
+        CameraExtrinsic(m)
+    with pytest.raises(ValueError, match="extrinsic is not a rotation matrix within tol=1e-06"):
+        panoptic_rotation(m, np.eye(3))
