@@ -6,7 +6,7 @@ drawing, dataset coverage tools, and JSON Lines label I/O with a CLI.
 
 A module is imported the first time one of its names, or the module
 itself, is looked up on the package (PEP 562), so `import rotkit.core`
-loads the rotation core alone.
+loads the rotation core and its table of Euler conventions alone.
 """
 
 import importlib

@@ -8,6 +8,12 @@ and atan2 can still change last bits.
 Every rotation a command sees passes ORTHO_TOL: the reader replaces a
 looser one that label files admit by its nearest rotation.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
+
+Importing this module and building the parser load argparse and the
+numpy-free table of Euler conventions (_conventions) alone, so `--help`
+and usage errors never load numpy.  Each command imports numpy and the
+rotkit modules it uses when it starts, in the parent, before any worker
+forks.
 """
 
 import argparse
@@ -16,28 +22,14 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .augment import AugmentOp, _check_budget, _image_rows, _random_ops
-from .core import _CONVENTIONS
-from .coverage import SpiralSpec, _spiral_rows, euler_range_stats, pca_project
-from .drawing import _NOT_XML_CHAR, DrawSpec, _check_size, _segments_rows, render_svg
-from .euler import _euler_rows
-from .evaluate import _evaluate_stacks, _rows_by_id
-from .labels import (
-    CHUNK_RECORDS,
-    ValidationError,
-    _encode_columns,
-    _map_chunks,
-    _map_ranges,
-    _read_stack,
-    _write_file,
-)
+from ._conventions import _CONVENTIONS
 
 _ID_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
 def _resolve_seed(args) -> int:
+    from .labels import ValidationError
+
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("ROTKIT_SEED")
@@ -54,6 +46,8 @@ def _write_chunks(path, output, work):
     chunks of label file `path` (_map_chunks) to `output` (_write_file);
     return the summed counts and tallies.  An unwritable output is reported
     before a missing input."""
+    from .labels import _map_chunks, _write_file
+
     n = tally = 0
 
     def write(fh):
@@ -75,6 +69,10 @@ def _write_csv(path, header, names, *columns) -> None:
     """Write a CSV report (_write_file): the header line, then per name a row
     of the name and its value in each column as repr(float).  A name with
     a comma, a double quote or a line break is quoted as RFC 4180 says."""
+    import numpy as np
+
+    from .labels import _write_file
+
     if _CSV_SPECIAL.search("".join(names)):
         names = [
             '"' + name.replace('"', '""') + '"' if _CSV_SPECIAL.search(name) else name
@@ -86,6 +84,11 @@ def _write_csv(path, header, names, *columns) -> None:
 
 
 def cmd_augment(args) -> int:
+    import numpy as np
+
+    from .augment import AugmentOp, _check_budget, _image_rows, _random_ops
+    from .labels import ValidationError, _encode_columns
+
     if args.multiplier < 1:
         raise ValidationError(f"--multiplier must be at least 1, got {args.multiplier}")
     seed = _resolve_seed(args)
@@ -134,6 +137,11 @@ def _repeat_rows(column: list, times: int) -> list:
 
 
 def cmd_convert(args) -> int:
+    import numpy as np
+
+    from .euler import _euler_rows
+    from .labels import _encode_columns
+
     # target "euler_<name>" fills the records' "euler_<name>_deg" view and
     # flags locked rows; "matrix" drops every view and gimbal flag
     convention = args.target.removeprefix("euler_")
@@ -155,6 +163,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import _evaluate_stacks
+    from .labels import _read_stack
+
     (pred_ids, _, pred), (truth_ids, _, truth) = map(_read_stack, args.input)
     report = _evaluate_stacks(pred_ids, pred, truth_ids, truth)
     if args.output:
@@ -167,6 +178,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_spiral(args) -> int:
+    from .coverage import SpiralSpec, _spiral_rows
+    from .labels import _encode_columns, _map_ranges, _write_file
+
     pitch_min, pitch_max = (math.radians(v) for v in args.pitch_range)
     spec = SpiralSpec(
         count=args.count, turns=args.turns, pitch_min=pitch_min, pitch_max=pitch_max
@@ -192,6 +206,10 @@ def cmd_spiral(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    from .coverage import pca_project
+    from .evaluate import _rows_by_id
+    from .labels import ValidationError, _read_stack
+
     ids, _, rotations = _read_stack(args.input)
     _rows_by_id(ids, args.input)  # its rows are keyed by id: refuse duplicates
     if len(ids) < 2:
@@ -207,6 +225,9 @@ def cmd_pca(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .coverage import euler_range_stats
+    from .labels import _read_stack
+
     _, _, rotations = _read_stack(args.input)
     stats = euler_range_stats(rotations)
     if args.output:
@@ -222,6 +243,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_draw(args) -> int:
+    from .drawing import _NOT_XML_CHAR, DrawSpec, _check_size, _segments_rows, render_svg
+    from .labels import CHUNK_RECORDS, ValidationError, _read_stack
+
     # the flags are checked before the input is read, and every record
     # before any file is written: each file name's length (in bytes, as the
     # names are ASCII) against the limit of the nearest existing directory,
@@ -326,7 +350,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"rotkit: i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # a ValidationError too
         print(f"rotkit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from ._conventions import _CONVENTIONS
+
 # Default tolerance for SO(3) membership: well above double-precision
 # accumulation of chained products, well below any meaningful angle.
 ORTHO_TOL = 1e-9
@@ -98,36 +100,6 @@ def rot_y_left(y: float) -> np.ndarray:
 def rot_z_left(r: float) -> np.ndarray:
     """Left-handed elemental rotation about the Z axis (roll)."""
     return _matrix(_elemental_at("z", r))
-
-
-class _Convention(NamedTuple):
-    """One Euler convention, read by _compose, _compose_rows and euler's
-    _extract.
-
-    A triple (first, middle, last) composes as R_a @ R_b @ R_c for axes
-    "abc".  Entries index the row-major matrix m: first and last are atan2
-    of their (numerator, denominator) entries, and middle = atan2(-m[mid],
-    c) with c = hypot(m[last[0]], m[last[1]]) = |cos(middle)|; at the
-    lock, half = atan2(+/-m[lock[0]], m[lock[1]]) / 2 with + at middle =
-    +pi/2, and (first, last) = split * half.
-    """
-
-    axes: str
-    mid: int
-    first: Tuple[int, int]
-    last: Tuple[int, int]
-    lock: Tuple[int, int]
-    split_up: Tuple[float, float]  # middle = +pi/2
-    split_down: Tuple[float, float]  # middle = -pi/2
-
-
-# The Euler conventions, in the order label files list their views.
-_CONVENTIONS = {
-    # pitch-yaw-roll, 300W-LP: Rx(p) @ Ry(y) @ Rz(r); locked yaw fixes p -/+ r
-    "pyr": _Convention("xyz", 2, (5, 8), (1, 0), (3, 4), (1.0, -1.0), (1.0, 1.0)),
-    # roll-pitch-yaw, Blender/Panohead: Rz(r) @ Rx(p) @ Ry(y); locked pitch fixes y -/+ r
-    "rpy": _Convention("zxy", 7, (1, 4), (6, 8), (3, 0), (-1.0, 1.0), (1.0, 1.0)),
-}
 
 
 def _compose(e, convention: str) -> np.ndarray:

@@ -13,7 +13,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .augment import _check_budget, _image_rows, _random_ops
 from .core import _HALF_PI, _compose_rows, _quat_to_matrix, _require_rotations, wrap_angle
 from .eigen import symmetric_eigh
 from .euler import _euler_rows
@@ -86,6 +85,10 @@ def densify_rolls(
     is independent of processing order and reproducible from the seed.
     Checks as random_augment's loop: the first pose, the budget, the rest.
     """
+    # imported here only, so that the CLI's spiral, stats and pca, which
+    # load this module, leave augment and drawing out
+    from .augment import _check_budget, _image_rows, _random_ops
+
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     out = []

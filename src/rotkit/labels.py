@@ -592,7 +592,8 @@ def _cache_dir() -> Optional[str]:
 
 
 def _sha256(data=b""):
-    # hashlib is imported here only, so that importing rotkit.cli leaves it out
+    # hashlib is imported here only, so that the commands that never use the
+    # cache (spiral, augment, convert) do not load it
     import hashlib
 
     return hashlib.sha256(data)

@@ -535,9 +535,8 @@ def test_unknown_fields_are_dropped(tmp_path, command):
                         "provenance"}
 
 
-def _loaded_modules(code, prefixes):
-    """Modules under `prefixes` loaded after running `code` in a fresh interpreter."""
-    code += f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+def _fresh(code):
+    """The last line that `code`, run in a fresh interpreter, prints."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -545,17 +544,76 @@ def _loaded_modules(code, prefixes):
     return out.stdout.strip().splitlines()[-1]
 
 
+def _loaded_modules(code, prefixes):
+    """Modules under `prefixes` loaded after running `code` in a fresh interpreter."""
+    return _fresh(code + f"; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+
+
+# xml.sax.saxutils pulls in urllib.request, http.client and email.*,
+# statistics pulls in fractions and decimal, and numpy.random pulls in
+# secrets, hashlib and hmac; a command would otherwise import and, without a
+# warm bytecode cache, compile them.  The CLI's workers are forked with os,
+# not started through multiprocessing.  hashlib, which loads OpenSSL, is
+# imported by the stack cache only when it is used.
+HEAVY = ("xml.sax", "urllib.request", "http.client", "email", "statistics",
+         "fractions", "decimal", "numpy.random", "multiprocessing", "hashlib")
+
+
 def test_cli_import_leaves_heavy_stdlib_modules_out():
-    # xml.sax.saxutils pulls in urllib.request, http.client and email.*,
-    # statistics pulls in fractions and decimal, and numpy.random pulls in
-    # secrets, hashlib and hmac; every command would otherwise import and,
-    # without a warm bytecode cache, compile them.  The CLI's workers are
-    # forked with os, not started through multiprocessing.  hashlib, which
-    # loads OpenSSL, is imported by the stack cache only when it is used.
-    heavy = ("xml.sax", "urllib.request", "http.client", "email", "statistics",
-             "fractions", "decimal", "numpy.random", "multiprocessing", "hashlib")
+    # numpy and the rotkit layers are imported by each command when it
+    # starts, so building the parser needs the table of conventions alone
     code = "import sys, rotkit.cli; rotkit.cli.build_parser()"
-    assert _loaded_modules(code, heavy) == "[]"
+    assert _loaded_modules(code, (*HEAVY, "numpy")) == "[]"
+    assert _loaded_modules(code, ("rotkit",)) == str(["rotkit", "rotkit._conventions",
+                                                       "rotkit.cli"])
+
+
+# Each command's flags on a spiral file IN, and the rotkit modules it loads
+# besides the package, cli, core and the table of conventions.
+LOADED_BY = [
+    ("augment", "--input IN --output OUT", "augment drawing euler labels"),
+    ("convert", "--target euler_pyr --input IN --output OUT", "euler labels"),
+    ("eval", "--input IN IN", "euler evaluate labels"),
+    ("spiral", "--count 6 --output OUT", "coverage eigen euler labels"),
+    ("pca", "--input IN --output OUT", "coverage eigen euler evaluate labels"),
+    ("stats", "--input IN", "coverage eigen euler labels"),
+    ("draw", "--input IN --output OUT", "drawing euler labels"),
+]
+COMMANDS = [command for command, _, _ in LOADED_BY]
+# These read their input through the stack cache, which hashes the input's
+# bytes for its key even when the cache directory cannot be made.
+HASH_INPUT = {"eval", "pca", "stats", "draw"}
+
+
+def test_help_and_usage_errors_leave_numpy_out():
+    # argparse answers these alone, before any command starts
+    argvs = [["--help"], *([command, "--help"] for command in COMMANDS),
+             ["convert", "--target", "bogus", "--input", "a", "--output", "b"]]
+    code = (
+        "import sys, rotkit.cli\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    try:\n"
+        "        rotkit.cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print([codes, [m for m in sys.modules if m.startswith('numpy')]])"
+    )
+    assert _fresh(code) == str([[0] * (1 + len(COMMANDS)) + [2], []])
+
+
+@pytest.mark.parametrize("command, flags, loads", LOADED_BY, ids=COMMANDS)
+def test_each_command_loads_its_own_modules(tmp_path, command, flags, loads):
+    path = str(tmp_path / "spiral.jsonl")
+    assert main(["spiral", "--count", "6", "--output", path]) == 0
+    files = {"IN": path, "OUT": str(tmp_path / "out")}
+    argv = [command, *(files.get(flag, flag) for flag in flags.split())]
+    code = f"import sys, rotkit.cli; assert rotkit.cli.main({argv!r}) == 0"
+    layers = ["_conventions", "cli", "core", *loads.split()]
+    heavy = [m for m in HEAVY if m != "hashlib" or command not in HASH_INPUT]
+    # a heavy module the command loads shows up in the list beside its layers
+    assert _loaded_modules(code, ("rotkit", *heavy)) == str(["rotkit", *sorted(
+        f"rotkit.{layer}" for layer in layers)])
 
 
 def test_eval_leaves_numpy_ma_out(tmp_path):

@@ -84,4 +84,4 @@ def test_importing_the_core_loads_no_other_module():
 import rotkit.core
 print(sorted(m for m in sys.modules if m.startswith("rotkit") or m == "json"))
 """)
-    assert got == ["rotkit", "rotkit.core"]
+    assert got == ["rotkit", "rotkit._conventions", "rotkit.core"]
