@@ -530,13 +530,15 @@ def _map_ranges(count: int, work) -> Iterator:
 
 def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
     """A label file's ids, its image paths and its rotations as one
-    (n, 3, 3) array.
+    read-only, C-contiguous (n, 3, 3) float64 array.
 
     The input, a file or a pipe, is read once, whole: its bytes are looked
     up in the stack cache (_cache_entry), and on a miss the fork map's
     workers parse those same bytes, so the entry then stored holds what
     its key's bytes parse to.  The parent holds the bytes until they are
-    parsed.  A failed read raises before anything is stored.
+    parsed.  A failed read raises before anything is stored.  A hit
+    returns a view of the entry's bytes and writes nothing; a miss's
+    stack is read-only too, so callers see no difference.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -558,6 +560,7 @@ def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
         stacks.append(rotations)
     del data  # the input's bytes go before the stack is gathered and stored
     stack = np.concatenate(stacks) if stacks else np.empty((0, 3, 3))
+    stack.flags.writeable = False
     if entry is not None:
         _store_entry(entry, ids, image_paths, stack)
     return ids, image_paths, stack
@@ -572,7 +575,7 @@ def _read_stack(path) -> Tuple[List[str], list, np.ndarray]:
 # their digest checks out: the digest finds torn or corrupted files, not
 # forged ones.  Any entry that does not check out, and any OSError, is a
 # miss; nothing here raises.
-_CACHE_ENTRIES = 32  # files kept; each store removes the least recently used past it
+_CACHE_ENTRIES = 32  # files kept; each store removes the oldest stored past it
 _ENTRY_SUFFIX = ".stack"
 _DIGEST = 32  # bytes of a sha256
 _COUNT = 8  # bytes of the record count
@@ -619,8 +622,8 @@ def _cache_entry(data: bytes) -> Optional[str]:
 
 
 def _load_entry(entry) -> Optional[Tuple[List[str], list, np.ndarray]]:
-    # The ids, image paths and stack that entry holds, or None.  A hit
-    # marks the entry as used.
+    # The ids, image paths and stack that entry holds, or None; the stack
+    # is a read-only view of the entry's bytes.  A hit writes nothing.
     try:
         with open(entry, "rb") as fh:
             data = fh.read()
@@ -639,17 +642,12 @@ def _load_entry(entry) -> Optional[Tuple[List[str], list, np.ndarray]]:
             and set(map(type, ids)) <= {str}
             and set(map(type, image_paths)) <= {str, type(None)}):
         return None
-    stack = np.frombuffer(body, "<f8", 9 * n, _COUNT).reshape(n, 3, 3).astype(float)
-    try:
-        os.utime(entry)
-    except OSError:
-        pass
-    return ids, image_paths, stack
+    return ids, image_paths, np.frombuffer(body, "<f8", 9 * n, _COUNT).reshape(n, 3, 3)
 
 
 def _store_entry(entry, ids: list, image_paths: list, stack: np.ndarray) -> None:
     # Write the entry under a temporary name and move it into place, then
-    # drop the least recently used files past _CACHE_ENTRIES.  Names hold
+    # drop the oldest stored files past _CACHE_ENTRIES.  Names hold
     # no lone surrogate (_extras_error), so they encode as UTF-8.
     body = [
         len(ids).to_bytes(_COUNT, "little"),

@@ -49,14 +49,23 @@ def _as_points(obj, what: str) -> np.ndarray:
     return a
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    # a read-only copy of a checked array, so that a later edit of the
+    # caller's array cannot reach a value that was checked once
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LandmarkSet:
-    """A corresponded 3D point set (n >= 3, not all collinear)."""
+    """A corresponded 3D point set (n >= 3, not all collinear), kept as a
+    read-only copy."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        a = _as_points(self.points, "points")
+        a = _owned(_as_points(self.points, "points"))
         object.__setattr__(self, "points", a)
         if not _spans_plane(a - a.mean(axis=0)):
             raise DegenerateGeometryError("points are collinear")
@@ -65,12 +74,13 @@ class LandmarkSet:
 @dataclass(frozen=True)
 class CameraExtrinsic:
     """The 3x3 rotation block of a camera extrinsic matrix, repaired if
-    loose as the module docstring says."""
+    loose as the module docstring says, kept as a read-only copy."""
 
     rotation_part: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation_part", _extrinsic(self.rotation_part, "rotation_part"))
+        a = _owned(_extrinsic(self.rotation_part, "rotation_part"))
+        object.__setattr__(self, "rotation_part", a)
 
 
 def _spans_plane(centered: np.ndarray) -> bool:

@@ -76,7 +76,24 @@ def test_hit_returns_what_a_read_returns(cache, inputs, monkeypatch):
     assert hit[:2] == (ids, image_paths) and None in image_paths
     assert hit[2].dtype == stack.dtype and hit[2].shape == stack.shape == (N, 3, 3)
     assert hit[2].tobytes() == stack.tobytes()
-    assert hit[2].flags.writeable and hit[2].flags.c_contiguous
+    for got in (stack, hit[2]):
+        assert not got.flags.writeable and got.flags.c_contiguous
+
+
+def _listing(cache):
+    # each entry's name and mtime
+    return [(name, os.stat(cache / name).st_mtime_ns) for name in _entries(cache)]
+
+
+def test_hit_writes_nothing(tmp_path, cache, inputs, monkeypatch, capsys):
+    _cache_on(monkeypatch, cache)
+    cold = _run(COMMANDS["stats"], inputs, tmp_path / "cold", 2, monkeypatch, capsys)
+    for name in _entries(cache):  # an old mtime, so that any refresh shows
+        os.utime(cache / name, ns=(10**9, 10**9))
+    stored = _listing(cache)
+    warm = _run(COMMANDS["stats"], inputs, tmp_path / "warm", 2, monkeypatch, capsys)
+    assert warm == cold and cold[0] == 0 and len(stored) == 1
+    assert _listing(cache) == stored
 
 
 def test_hit_forks_nothing(tmp_path, cache, inputs, monkeypatch, capsys):
@@ -241,7 +258,7 @@ def test_defect_repeats_its_error_and_leaves_no_entry(tmp_path, cache, monkeypat
     _assert_no_children()
 
 
-def test_least_recently_used_entries_go(tmp_path, cache, monkeypatch):
+def test_oldest_stored_entries_go(tmp_path, cache, monkeypatch):
     monkeypatch.setattr(labels, "_CACHE_ENTRIES", 2)
     _cache_on(monkeypatch, cache)
     files = [str(_write(tmp_path / f"{k}.jsonl", _objects(N, seed=k))) for k in range(3)]
@@ -251,10 +268,10 @@ def test_least_recently_used_entries_go(tmp_path, cache, monkeypatch):
         [name] = set(_entries(cache)) - set(names)
         names.append(name)
         os.utime(cache / name, ns=(k * 10**9, k * 10**9))  # file 0 is the oldest
-    labels._read_stack(files[0])  # a hit: file 0 becomes the newest
+    labels._read_stack(files[0])  # a hit does not save file 0
     labels._read_stack(files[2])
     [third] = set(_entries(cache)) - set(names)
-    assert _entries(cache) == sorted([names[0], third])
+    assert _entries(cache) == sorted([names[1], third])
 
 
 def test_cache_location(tmp_path, monkeypatch):

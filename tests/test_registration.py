@@ -225,6 +225,20 @@ class TestLandmarkSet:
         assert got.tobytes() == horn_rotation(src, dst).tobytes()
         assert sizes == [(4, 4), (3, 3), (4, 4)]
 
+    def test_keeps_a_read_only_copy_of_what_it_checked(self):
+        # the caller's points, made collinear after the check, reach
+        # neither the set nor horn_rotation, which does not test it again
+        rng = pose_stream(217)
+        pts = rng.normal(size=(6, 3))
+        checked, dst = pts.copy(), pts @ random_rotation(rng).T
+        ls = LandmarkSet(pts)
+        pts[:, 1:] = 0.0
+        with pytest.raises(DegenerateGeometryError):
+            horn_rotation(pts, dst)
+        assert ls.points.tobytes() == checked.tobytes()
+        assert not ls.points.flags.writeable
+        assert horn_rotation(ls, dst).tobytes() == horn_rotation(checked, dst).tobytes()
+
 
 class TestPanopticRotation:
     def test_identity_inputs(self):
@@ -250,6 +264,15 @@ class TestPanopticRotation:
         np.testing.assert_array_equal(
             panoptic_rotation(c, h), panoptic_rotation(c.rotation_part, h)
         )
+
+    def test_camera_extrinsic_keeps_a_read_only_copy(self):
+        # an entry set after the check would make the output no rotation
+        cam = np.eye(3)
+        ce = CameraExtrinsic(cam)
+        cam[0, 0] = 5.0
+        assert ce.rotation_part.tolist() == np.eye(3).tolist()
+        assert not ce.rotation_part.flags.writeable
+        assert panoptic_rotation(ce, np.eye(3)).tolist() == np.diag([1.0, -1.0, -1.0]).tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
