@@ -45,11 +45,13 @@ class EulerRPY(NamedTuple):
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]; -pi maps to +pi.
 
-    Values already in range are returned untouched so exact zeros and
-    extraction outputs are not perturbed.
+    Values already in range are returned untouched, so exact zeros and
+    extraction outputs are not perturbed; inf and NaN raise ValueError.
     """
     if -math.pi < theta <= math.pi:
         return theta
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
     return math.pi - (math.pi - theta) % _TWO_PI
 
 

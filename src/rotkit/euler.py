@@ -1,14 +1,11 @@
 """Closed-form Euler extraction: one routine for every convention.
 
-_extract works on one matrix's nine row-major floats; extract_pyr,
-extract_rpy and _euler_rows (row by row, no check: the reader or
-coverage.euler_range_stats checks its stack) call it.
-
-Each convention is one row of core._CONVENTIONS: its axis order, the
-matrix entries that give each angle, and the split at Gimbal lock.  The
-elemental rotations are left-handed (rot_x_left, rot_y_left, rot_z_left),
-so a convention is scipy's right-handed intrinsic sequence with every angle
-negated:
+_extract reads one matrix's nine row-major floats by the rule of
+rotkit._conventions; extract_pyr, extract_rpy and _euler_rows (row by row,
+no check: the reader or coverage.euler_range_stats checks its stack) call
+it.  The elemental rotations are left-handed (rot_x_left, rot_y_left,
+rot_z_left), so a convention is scipy's right-handed intrinsic sequence
+with every angle negated:
 
     convention  triple e            matrix                  scipy Rotation
     pyr         (pitch, yaw, roll)  Rx(p) @ Ry(y) @ Rz(r)   from_euler("XYZ", -e)
@@ -16,17 +13,12 @@ negated:
 
 Away from the lock, extraction equals -as_euler(...) of the same sequence,
 with the middle angle in [-pi/2, pi/2].  At the lock (|cos(middle)| <=
-GIMBAL_EPS) only one combination of the outer angles is determined, and it
-is split evenly between them:
-
-    pyr, yaw = +pi/2:    pitch - roll;  (pitch, roll) = (half, -half)
-    pyr, yaw = -pi/2:    pitch + roll;  (pitch, roll) = (half, half)
-    rpy, pitch = +pi/2:  yaw - roll;    (roll, yaw) = (-half, half)
-    rpy, pitch = -pi/2:  yaw + roll;    (roll, yaw) = (half, half)
-
-so both outer angles land in [-pi/2, pi/2].  Pitch-yaw-roll also reports
-its second representation away from the lock; the canonical one keeps yaw
-in [-pi/2, pi/2], the choice 300W-LP labels follow.
+GIMBAL_EPS) only pitch -/+ roll (pyr, yaw = +/-pi/2) or yaw -/+ roll (rpy,
+pitch = +/-pi/2) is determined, and it is split evenly: (pitch, roll) =
+(half, -/+half), (roll, yaw) = (-/+half, half), both in [-pi/2, pi/2].
+Pitch-yaw-roll also reports its second representation away from the lock;
+the canonical one keeps yaw in [-pi/2, pi/2], the choice 300W-LP labels
+follow.
 """
 
 import math
@@ -79,8 +71,8 @@ class RpySolution:
 def _entries(r, gimbal_eps) -> Tuple[list, float]:
     # The checks of extract_pyr and extract_rpy; returns r's nine entries and gimbal_eps.
     gimbal_eps = float(gimbal_eps)
-    if not gimbal_eps > 0.0:
-        raise ValueError("gimbal_eps must be positive")
+    if not 0.0 < gimbal_eps < 1.0:  # at 1 or more every rotation would lock
+        raise ValueError(f"gimbal_eps must be in (0, 1), got {gimbal_eps!r}")
     return require_rotation(r).ravel().tolist(), gimbal_eps
 
 
@@ -89,21 +81,19 @@ def _extract(m: list, convention: str, gimbal_eps: float) -> Tuple[tuple, int]:
     row-major floats, in a convention of core._CONVENTIONS, and its lock: 0,
     or +1 / -1 when locked with the middle angle at +pi/2 / -pi/2.
 
-    The middle angle is atan2(sine, c) in [-pi/2, pi/2], c = |cos(middle)|
-    the hypot of the last angle's entries and the lock test; first and last,
-    atan2 of entries that carry the factor c > 0, are wrapped into (-pi, pi].
-    No checks: the callers make them (_entries, the reader, euler_range_stats).
+    The rule of rotkit._conventions, c = |cos(middle)| the lock test; the
+    middle angle is in [-pi/2, pi/2], first and last are wrapped into (-pi,
+    pi].  The signs s and lock are exact: +1 leaves an entry's bytes as they
+    are.  No checks: the callers make them (_entries, the reader, euler_range_stats).
     """
-    _, i_mid, (fy, fx), (ly, lx), (num, den), split_up, split_down = _CONVENTIONS[convention]
+    _, s, i_mid, (fy, fx), (ly, lx), (num, den), split_up, split_down = _CONVENTIONS[convention]
     c = math.hypot(m[ly], m[lx])
     if c > gimbal_eps:
-        first = wrap_angle(math.atan2(m[fy], m[fx]))
-        return (first, math.atan2(-m[i_mid], c), wrap_angle(math.atan2(m[ly], m[lx]))), 0
+        first = wrap_angle(math.atan2(s * m[fy], m[fx]))
+        return (first, math.atan2(-s * m[i_mid], c), wrap_angle(math.atan2(s * m[ly], m[lx]))), 0
 
-    if m[i_mid] <= 0.0:
-        half, lock = 0.5 * math.atan2(m[num], m[den]), 1
-    else:
-        half, lock = 0.5 * math.atan2(-m[num], m[den]), -1
+    lock = 1 if s * m[i_mid] <= 0.0 else -1
+    half = 0.5 * math.atan2(lock * m[num], m[den])
     a, b = split_up if lock > 0 else split_down
     return (a * half, lock * _HALF_PI, b * half), lock
 

@@ -693,10 +693,13 @@ def read_labels(path) -> List[PoseRecord]:
     return records
 
 
-def _write_records(fh, records) -> None:
-    it = iter(records)
+def _write_records(fh, path, records) -> None:
+    it, start = iter(records), 1
     while chunk := list(islice(it, CHUNK_RECORDS)):
-        fh.write(_encode_columns(*_columns(chunk)))
+        text = _encode_columns(*_columns(chunk))
+        _read_chunk(path, list(enumerate(text[:-1].split("\n"), start)))
+        fh.write(text)
+        start += len(chunk)
 
 
 def write_labels(records, path) -> None:
@@ -705,10 +708,12 @@ def write_labels(records, path) -> None:
     Each line is json.dumps(record_to_dict(rec), ensure_ascii=False).
     Records are gathered into chunks (_columns), encoded (_encode_columns)
     and written CHUNK_RECORDS at a time, so `records` may be a generator that
-    builds them chunk by chunk.  The file is written as _write_file writes
-    it: if anything raises, an existing file at `path` is left untouched.
+    builds them chunk by chunk; each chunk's text is first read back as
+    read_labels reads it, so what the reader refuses raises its error here.
+    The file is written as _write_file writes it: if anything raises, an
+    existing file at `path` is left untouched.
     """
-    _write_file(path, lambda fh: _write_records(fh, records))
+    _write_file(path, lambda fh: _write_records(fh, path, records))
 
 
 def _write_file(path, write) -> None:

@@ -350,3 +350,8 @@ class TestWrapAngle:
     def test_in_range_values_untouched(self):
         assert wrap_angle(1.234567) == 1.234567
         assert wrap_angle(-3.1) == -3.1
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            wrap_angle(theta)

@@ -132,8 +132,12 @@ class TestExtractPyr:
             extract_pyr(np.eye(3) * 1.5)
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            extract_pyr(np.eye(3), gimbal_eps=0.0)
+        # at 1 or more every rotation, the identity too, would take the lock branch
+        for eps in (0.0, -1e-4, 1.0, 2.0, math.inf, math.nan):
+            for extract in (extract_pyr, extract_rpy):
+                with pytest.raises(ValueError, match="gimbal_eps"):
+                    extract(np.eye(3), gimbal_eps=eps)
+        assert extract_pyr(np.eye(3), gimbal_eps=0.5).kind == "regular"
 
 
 class TestCanonicalPyr:

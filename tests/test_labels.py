@@ -196,7 +196,11 @@ class TestValidation:
         (rec,) = read_labels(path)
         assert rec.gimbal
         bad = tmp_path / "gimbal_noflag.jsonl"
-        write_labels([PoseRecord(id="g", rotation=r, euler_pyr_deg=snapped)], bad)
+        unflagged = PoseRecord(id="g", rotation=r, euler_pyr_deg=snapped)
+        with pytest.raises(ValidationError, match="'g'"):
+            write_labels([unflagged], bad)
+        assert not bad.exists()
+        bad.write_text(json.dumps(record_to_dict(unflagged)) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="'g'"):
             read_labels(bad)
 
@@ -322,6 +326,60 @@ class TestValidation:
         assert len(read_labels(path)) == 1
 
 
+# Records the reader refuses, as the fields that differ from a valid record,
+# and the start of its message: {name} is "record 'ID'", {where} "FILE:LINE".
+_REFUSED = {
+    "zero matrix": ({"rotation": np.zeros((3, 3))}, "{name}: rotation fails the SO(3) check at 1e-06"),
+    "NaN rotation": ({"rotation": np.full(9, math.nan)}, "{name}: rotation must be 9 finite JSON numbers"),
+    "NaN view": ({"euler_pyr_deg": (math.nan, 0.0, 0.0)},
+                 "{name}: euler_pyr_deg must be 3 finite JSON numbers"),
+    "infinite view": ({"euler_rpy_deg": (0.0, math.inf, 0.0)},
+                      "{name}: euler_rpy_deg must be 3 finite JSON numbers"),
+    "view off": ({"euler_pyr_deg": (90.0, 0.0, 0.0)}, "{name}: euler_pyr_deg disagrees with rotation"),
+    "float id": ({"id": 1.5}, "{where}: 'id' must be a string or an integer"),
+    "lone surrogate": ({"id": "\ud800"}, "{name}: id holds a lone surrogate, which UTF-8 cannot encode"),
+    "image path": ({"image_path": 5}, "{name}: image_path must be a string or null"),
+    "provenance": ({"provenance": {"kind": "flip"}}, "{name}: provenance must be a list"),
+}
+# Records the writer changes and the reader accepts: (fields, field, as read back).
+_ACCEPTED = {
+    "provenance tuple": ({"provenance": ({"kind": "flip"},)}, "provenance", [{"kind": "flip"}]),
+    "integer id": ({"id": 7}, "id", "7"),
+    "integer view": ({"euler_pyr_deg": (0, 0, 0)}, "euler_pyr_deg", (0.0, 0.0, 0.0)),
+}
+
+
+class TestWriteThenRead:
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, case):
+        fields, message = _REFUSED[case]
+        path, raw = tmp_path / "out.jsonl", tmp_path / "raw.jsonl"
+        write_labels(_records(2), path)
+        before = path.read_bytes()
+        records = _records(CHUNK_RECORDS + 3, seed=2)
+        k = CHUNK_RECORDS + 1  # in the second chunk
+        records[k] = bad = dataclasses.replace(records[k], **{"rotation": np.eye(3), **fields})
+        # the same record as write_labels encodes it (ASCII escapes, so the file is UTF-8)
+        raw.write_text(json.dumps(record_to_dict(bad)) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as read_error:
+            read_labels(raw)
+        with pytest.raises(ValidationError) as write_error:
+            write_labels(records, path)
+        read, written = str(read_error.value), str(write_error.value)
+        assert read.startswith(message.format(name=f"record {str(bad.id)!r}", where=f"{raw}:1"))
+        assert written == read.replace(f"{raw}:1", f"{path}:{k + 1}")
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "raw.jsonl"]
+
+    @pytest.mark.parametrize("case", sorted(_ACCEPTED))
+    def test_writer_writes_what_the_reader_accepts(self, tmp_path, case):
+        fields, field_name, want = _ACCEPTED[case]
+        path = tmp_path / "out.jsonl"
+        record = PoseRecord(**{"id": "b", "rotation": np.eye(3), **fields})
+        write_labels([PoseRecord("a", np.eye(3)), record], path)
+        assert getattr(read_labels(path)[1], field_name) == want
+
+
 class TestWrite:
     def test_matches_per_record_dumps(self, tmp_path):
         records = _records(CHUNK_RECORDS + 2, seed=3)
@@ -329,6 +387,7 @@ class TestWrite:
         records[2].image_path = "ünïcode/é.png"
         records[3].provenance = [{"kind": "rotate", "angle_deg": -0.0}]
         records[4].euler_pyr_deg = (1, 2.5, -3)
+        records[4].rotation = compose_pyr(np.radians((1, 2.5, -3)))  # a view the reader accepts
         path = tmp_path / "out.jsonl"
         write_labels(iter(records), path)
         want = "".join(json.dumps(record_to_dict(r), ensure_ascii=False) + "\n" for r in records)

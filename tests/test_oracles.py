@@ -2,23 +2,28 @@
 
 The parity tests elsewhere compare rotkit's batched kernels with its own
 scalar functions, so an error shared by both routes (a wrong row of the
-Euler-convention table, say) would pass there.  Here the Euler table is
-checked against scipy's Rotation, and every CLI command against the
-numpy references and output checks of the benchmark (perfbench/), which
-this module imports and does not change.
+Euler-convention table, say) would pass there.  Here the Euler table, and
+the rule that generates its rows for all six axis sequences, is checked
+against scipy's Rotation, and every CLI command against the numpy
+references and output checks of the benchmark (perfbench/), which this
+module imports and does not change.
 """
 
+import math
 import sys
+from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import rotkit.labels  # noqa: F401 - its views are fixed before a test adds a table row
 from rotkit import compose_pyr, compose_rpy, extract_pyr, extract_rpy
+from rotkit._conventions import _Convention, _convention
 from rotkit.cli import main
 from rotkit.core import _CONVENTIONS, _compose_rows
-from rotkit.euler import _euler_rows
+from rotkit.euler import GIMBAL_EPS, _euler_rows, _extract
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,6 +38,9 @@ ORACLE = {
 # matrix entry, 8.9e-15 rad per angle.
 COMPOSE_TOL = 4e-15
 EXTRACT_TOL = 1e-12
+# The six Tait-Bryan axis sequences, each with both lock entries.
+SEQUENCES = ["".join(axes) for axes in permutations("xyz")]
+GENERATED = [(axes, entry) for axes in SEQUENCES for entry in ("ji", "kj")]
 
 
 def _wrapped_diff(a, b):
@@ -51,6 +59,16 @@ def _angle_rows(rng, n):
 @pytest.fixture(scope="module")
 def scipy_rotation():
     return pytest.importorskip("scipy.spatial.transform").Rotation
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Puts _convention(axes, entry) into the table as "generated" for one
+    test, so that core's and euler's kernels read it; returns its name."""
+    def add(axes, entry):
+        monkeypatch.setitem(_CONVENTIONS, "generated", _convention(axes, entry))
+        return "generated"
+    return add
 
 
 class TestEulerTableAgainstScipy:
@@ -80,6 +98,54 @@ class TestEulerTableAgainstScipy:
         batched, locked = _euler_rows(stack, convention)
         assert not locked.any()
         assert np.abs(_wrapped_diff(batched, want)).max() <= EXTRACT_TOL
+
+    def test_rows_in_use_are_generated_as_typed_here(self):
+        # the two rows in use, typed out once here: the rule gives them field for field
+        assert _CONVENTIONS == {
+            "pyr": _Convention("xyz", 1.0, 2, (5, 8), (1, 0), (3, 4), (1.0, -1.0), (1.0, 1.0)),
+            "rpy": _Convention("zxy", 1.0, 7, (1, 4), (6, 8), (3, 0), (-1.0, 1.0), (1.0, 1.0)),
+        }
+
+    @pytest.mark.parametrize("axes", SEQUENCES)
+    def test_generated_composition(self, scipy_rotation, generated, axes):
+        angles = _angle_rows(np.random.default_rng(5), 4000)
+        want = scipy_rotation.from_euler(axes.upper(), -angles).as_matrix()
+        assert np.abs(_compose_rows(angles, generated(axes, "ji")) - want).max() <= COMPOSE_TOL
+
+    @pytest.mark.parametrize("axes, entry", GENERATED)
+    def test_generated_extraction_away_from_the_lock(self, scipy_rotation, generated, axes, entry):
+        name = generated(axes, entry)
+        rotations = scipy_rotation.random(2000, random_state=7)
+        want = -rotations.as_euler(axes.upper())
+        keep = np.abs(np.cos(want[:, 1])) > 1e-3
+        stack = rotations.as_matrix()[keep]
+        assert len(stack) > 1950
+        angles, locked = _euler_rows(stack, name)
+        assert not locked.any()
+        assert np.abs(_wrapped_diff(angles, want[keep])).max() <= EXTRACT_TOL
+        # recomposed: each outer angle errs by about an ulp over |cos(middle)|
+        back = scipy_rotation.from_matrix(_compose_rows(angles, name))
+        assert (back.inv() * rotations[keep]).magnitude().max() <= EXTRACT_TOL
+
+    @pytest.mark.parametrize("axes, entry", GENERATED)
+    def test_generated_extraction_at_the_lock(self, scipy_rotation, generated, axes, entry):
+        # middle angles within 1e-3 of +/-pi/2, a quarter of them exactly there
+        name = generated(axes, entry)
+        rng = np.random.default_rng(11)
+        angles = rng.uniform(-np.pi, np.pi, (4000, 3))
+        angles[:, 1] = rng.choice([-1.0, 1.0], 4000) * np.pi / 2
+        angles[1000:, 1] += rng.uniform(-1e-3, 1e-3, 3000)
+        stack = scipy_rotation.from_euler(axes.upper(), -angles).as_matrix()
+        rows = [_extract(m, name, GIMBAL_EPS) for m in stack.reshape(-1, 9).tolist()]
+        locks = np.array([lock for _, lock in rows])
+        got = np.array([e for e, lock in rows if lock])
+        locked = locks != 0
+        assert locked.sum() > 1000
+        back = scipy_rotation.from_euler(axes.upper(), -got)
+        assert (back.inv() * scipy_rotation.from_matrix(stack[locked])).magnitude().max() <= GIMBAL_EPS
+        assert np.abs(got[:, [0, 2]]).max() <= math.pi / 2
+        assert (got[:, 1] == locks[locked] * math.pi / 2).all()
+        assert (locks[locked] == np.sign(angles[locked, 1])).all()
 
 
 @pytest.fixture(scope="module")
