@@ -20,7 +20,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .core import _HALF_PI, _cos_sin, _matrix, _mul, require_rotation
+from .core import _HALF_PI, _cos_sin, _matrix, _mul, _require_int, require_rotation
 from .drawing import _check_size
 
 _U64 = (1 << 64) - 1
@@ -151,9 +151,11 @@ def pose_stream(seed: int, index: int = 0) -> "np.random.Generator":
     """Counter-based random stream for record `index` under a global seed.
 
     Streams for distinct (seed, index) pairs are independent, so per-record
-    augmentation does not depend on processing order.
+    augmentation does not depend on processing order.  Both must be
+    integers (_require_int).
     """
-    key = (int(seed) & _U64) | ((int(index) & _U64) << 64)
+    seed, index = _require_int(seed, "seed"), _require_int(index, "index")
+    key = (seed & _U64) | ((index & _U64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

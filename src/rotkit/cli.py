@@ -7,7 +7,8 @@ kernel, except `pca` (LAPACK's eigh); across CPUs, glibc's FMA sin, cos
 and atan2 can still change last bits.
 Every rotation a command sees passes ORTHO_TOL: the reader replaces a
 looser one that label files admit by its nearest rotation.
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O or resource error (out
+of memory, a dead worker).
 
 Importing this module and building the parser load argparse and the
 numpy-free table of Euler conventions (_conventions) alone, so `--help`
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         print(f"rotkit: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # exit 2 too when the OOM killer ends a worker
+        print(f"rotkit: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a ValidationError too
         print(f"rotkit: error: {exc}", file=sys.stderr)

@@ -55,6 +55,14 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % _TWO_PI
 
 
+def _require_int(value, name: str) -> int:
+    """value, a Python or numpy integer, as an int; a bool, a float, a
+    string or anything else raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _mul(a, b) -> list:
     # Product of 3x3 matrices given as row-major entries, floats or columns
     # as in _det; each entry sums left to right, the same bytes on any BLAS.

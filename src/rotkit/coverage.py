@@ -13,7 +13,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import _HALF_PI, _compose_rows, _quat_to_matrix, _require_rotations, wrap_angle
+from .core import (_HALF_PI, _compose_rows, _quat_to_matrix, _require_int, _require_rotations,
+                   wrap_angle)
 from .eigen import symmetric_eigh
 from .euler import _euler_rows
 from .labels import CHUNK_RECORDS
@@ -33,6 +34,7 @@ class SpiralSpec:
     pitch_max: float = math.radians(75.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "count", _require_int(self.count, "count"))
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not (math.isfinite(self.turns) and self.turns > 0):
@@ -83,12 +85,14 @@ def densify_rolls(
     Each input pose yields `multiplier` augmented copies, grouped in input
     order.  Draws come from per-index counter-based streams, so the output
     is independent of processing order and reproducible from the seed.
-    Checks as random_augment's loop: the first pose, the budget, the rest.
+    The seed and multiplier must be integers (_require_int); then checks
+    as random_augment's loop: the first pose, the budget, the rest.
     """
     # imported here only, so that the CLI's spiral, stats and pca, which
     # load this module, leave augment and drawing out
     from .augment import _check_budget, _image_rows, _random_ops
 
+    seed, multiplier = _require_int(seed, "seed"), _require_int(multiplier, "multiplier")
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     out = []

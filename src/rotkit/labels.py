@@ -409,41 +409,19 @@ def _receive(reader):
     return pickle.loads(body) if len(head) == 8 and len(body) == size else None
 
 
-def _serve(fd: int, groups, work, w: int, workers: int) -> None:
-    # A worker's life: it walks all of groups() and, for each group k with
-    # k % workers == w, sends ("ok", work(k, group)); then ("end", None), or
-    # ("err", exc) for the first exception, raised by work or while reading
-    # group k.  It never returns, and runs no exit handlers.
-    status = 1
-    try:
-        with os.fdopen(fd, "wb") as out:
-            k = 0
-            try:
-                for group in groups():
-                    if k % workers == w:
-                        _send(out, ("ok", work(k, group)))
-                    k += 1
-                message = ("end", None)
-            except BaseException as exc:  # noqa: BLE001 - the parent raises it
-                message = ("err", exc)
-            _send(out, message)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _fork_map(groups, work, workers: int) -> Iterator:
     """work(k, group) for each k, group in enumerate(groups()), in order.
 
-    With workers > 1 the calls run in that many processes made with
-    os.fork: worker w walks groups() itself and calls work on the groups
-    with k % workers == w, so nothing is sent to it, and a result comes
-    back through a pipe, pickled.  The parent yields the results in order
-    and raises an exception where work or groups() raised it, so the first
-    error in group order wins, with its type and message.  A worker that
-    dies before reporting a group fails the map with ChildProcessError.
-    However the map ends, every worker is killed and reaped.  With one
-    worker the same calls run in-process.
+    With workers > 1 the calls run in that many os.fork processes.  Worker
+    w walks groups() itself, so nothing is sent to it; for each group with
+    k % workers == w it sends ("ok", work(k, group)) down its pipe (_send),
+    then ("end", None), or ("err", exc) for the first exception raised by
+    work or while reading group k.  The parent reads the pipes round-robin,
+    yields the results in order and raises exc where it was raised, so the
+    first error in group order wins.  A worker that dies before reporting
+    group k (an early exit 0 sends no end marker), or exits non-zero after
+    its last, fails the map with ChildProcessError.  However the map ends,
+    every worker is killed and reaped.  With one worker it runs in-process.
 
     os.fork, not multiprocessing: a fork starts no interpreter and imports
     nothing, and work may be any closure.  The CLI runs no Python thread,
@@ -456,6 +434,11 @@ def _fork_map(groups, work, workers: int) -> Iterator:
             yield work(k, group)
         return
     pids, readers = [], []
+
+    def reap(w) -> int:
+        pid, pids[w] = pids[w], None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
     try:
         for w in range(workers):
             r, fd = os.pipe()
@@ -465,7 +448,16 @@ def _fork_map(groups, work, workers: int) -> Iterator:
                     os.close(r)
                     for reader in readers:
                         reader.close()
-                    _serve(fd, groups, work, w, workers)
+                    with os.fdopen(fd, "wb") as out:
+                        try:
+                            for k, group in enumerate(groups()):
+                                if k % workers == w:
+                                    _send(out, ("ok", work(k, group)))
+                            message = ("end", None)
+                        except BaseException as exc:  # noqa: BLE001 - the parent raises it
+                            message = ("err", exc)
+                        _send(out, message)
+                    os._exit(0)
                 finally:
                     os._exit(1)
             os.close(fd)
@@ -476,9 +468,7 @@ def _fork_map(groups, work, workers: int) -> Iterator:
             w = k % workers
             message = _receive(readers[w])
             if message is None:
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-                pids[w] = None
-                raise ChildProcessError(f"worker {w} exited ({code}) before reporting chunk {k}")
+                raise ChildProcessError(f"worker {w} exited ({reap(w)}) before reporting chunk {k}")
             tag, payload = message
             if tag == "err":
                 raise payload
@@ -486,18 +476,16 @@ def _fork_map(groups, work, workers: int) -> Iterator:
                 break
             yield payload
             k += 1
-        for w, pid in enumerate(pids):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids[w] = None
-            if code:
+        for w in range(workers):
+            if code := reap(w):
                 raise ChildProcessError(f"worker {w} exited ({code}) after its last chunk")
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
+        for w, pid in enumerate(pids):
             if pid is not None:
                 os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
+                reap(w)
 
 
 def _map_chunks(path, work) -> Iterator:

@@ -112,6 +112,44 @@ class TestDensifyRolls:
         assert hist.min() > 0
 
 
+# Each integer parameter where it enters the library: the call with value v,
+# and the name its message gives
+INTEGER_PARAMETERS = {
+    "SpiralSpec.count": (lambda v: spiral_rotations(SpiralSpec(count=v)), "count"),
+    "densify_rolls.seed": (lambda v: densify_rolls([np.eye(3)], 0.1, v), "seed"),
+    "densify_rolls.multiplier": (
+        lambda v: densify_rolls([np.eye(3)], 0.1, 0, multiplier=v), "multiplier"),
+    "pose_stream.seed": (lambda v: pose_stream(v).random(3), "seed"),
+    "pose_stream.index": (lambda v: pose_stream(0, v).random(3), "index"),
+}
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.5, 7.9, 3.0,
+                                       np.float64(3.0), "7", None], ids=repr)
+    @pytest.mark.parametrize("parameter", sorted(INTEGER_PARAMETERS))
+    def test_refuses_what_is_not_an_integer(self, parameter, value):
+        call, name = INTEGER_PARAMETERS[parameter]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.int32(3)], ids=repr)
+    @pytest.mark.parametrize("parameter", sorted(INTEGER_PARAMETERS))
+    def test_numpy_integers_act_as_ints(self, parameter, value):
+        call, _ = INTEGER_PARAMETERS[parameter]
+        np.testing.assert_array_equal(call(value), call(3))
+
+    @pytest.mark.parametrize("parameter, message", [
+        ("SpiralSpec.count", "count must be >= 1"),
+        ("densify_rolls.multiplier", "multiplier must be >= 1"),
+    ])
+    def test_keeps_the_range_messages(self, parameter, message):
+        call, _ = INTEGER_PARAMETERS[parameter]
+        for value in (0, -1, np.int64(0)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(value)
+
+
 class TestRandomRotation:
     def test_deterministic(self):
         a = random_rotation(pose_stream(5))

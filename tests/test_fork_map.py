@@ -279,3 +279,52 @@ def test_pipe_input_is_read_once_and_cached(tmp_path, good, monkeypatch, capsys)
     monkeypatch.setattr(os, "fork", no_fork)
     assert piped(tmp_path / "second") == want
     assert len(os.listdir(cache)) == 1
+
+
+@pytest.mark.parametrize("command", ["convert-pyr", "stats"])
+def test_worker_failing_after_its_last_chunk_fails_the_command(tmp_path, good, monkeypatch, capsys,
+                                                               command):
+    # every worker exits 5 right after its end marker: the parent has every
+    # result, then reaps worker 0 first
+    parent, send = os.getpid(), labels._send
+
+    def exiting(out, message):
+        send(out, message)
+        if os.getpid() != parent and message[0] == "end":
+            os._exit(5)
+
+    monkeypatch.setattr(labels, "_send", exiting)
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"kept\n")
+    into_kept = [str(kept) if a.startswith("OUT/") else a for a in COMMANDS[command]]
+    paths = {"IN": str(good), "GOOD": str(good)}
+    for argv, out_dir in ((COMMANDS[command], "new"), (into_kept, "existing")):
+        code, out, err, files = _run(argv, paths, tmp_path / out_dir, 2, monkeypatch, capsys)
+        assert (code, out, files) == (2, "", {})
+        assert err == "rotkit: i/o error: worker 0 exited (5) after its last chunk\n"
+        _assert_no_children()
+    assert kept.read_bytes() == b"kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["existing", "good.jsonl", "kept", "new"]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("command", ["augment", "stats"])
+def test_out_of_memory_is_one_error_line(tmp_path, good, monkeypatch, capfd, command, cores):
+    # at the file descriptor, so that a traceback would show
+    read_chunk = labels._read_chunk
+
+    def exhausted(path, lines):
+        if lines[0][0] == CHUNK + 1:
+            raise MemoryError("Unable to allocate 373. GiB for an array")
+        return read_chunk(path, lines)
+
+    monkeypatch.setattr(labels, "_read_chunk", exhausted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [str(good) if a == "IN" else a.replace("OUT/", f"{out_dir}/") for a in COMMANDS[command]]
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", "rotkit: error: out of memory: Unable to allocate 373. GiB "
+                                      "for an array\n")
+    assert _listing(out_dir) == {}
+    _assert_no_children()
